@@ -26,49 +26,15 @@ const DefaultShardLevels = 2048
 // It is the forward table of the ApportionCurves DP read out level by
 // level, so a cluster-level apportioner consuming the rollup prices the
 // shard's watts exactly as the shard's own coordinator will spend them.
+// A shard coordinator reads it off its cached table
+// (Apportioner.Rollup); this is the same read on a fresh one.
 //
 // Every curve must be non-empty (curveless members have no utility to
 // roll up — the shard reports an empty aggregate and the tier above
 // falls back to its even-share path); nil is returned otherwise.
 func RollupCurves(floorW float64, curves [][]CapPoint) []CapPoint {
-	n := len(curves)
-	if n == 0 {
-		return nil
-	}
-	levels := 1
-	for _, c := range curves {
-		if len(c) == 0 {
-			return nil
-		}
-		levels += len(c) - 1
-	}
-	best := make([]float64, levels)
-	grid := make([]float64, levels)
-	for i := 0; i < n; i++ {
-		next := make([]float64, levels)
-		nextGrid := make([]float64, levels)
-		for l := 0; l < levels; l++ {
-			bestV, bestG := math.Inf(-1), 0.0
-			kMax := l
-			if kMax >= len(curves[i]) {
-				kMax = len(curves[i]) - 1
-			}
-			for k := 0; k <= kMax; k++ {
-				if v := best[l-k] + curves[i][k].Perf; v > bestV {
-					bestV = v
-					bestG = grid[l-k] + curves[i][k].GridW
-				}
-			}
-			next[l], nextGrid[l] = bestV, bestG
-		}
-		best, grid = next, nextGrid
-	}
-	out := make([]CapPoint, levels)
-	base := floorW * float64(n)
-	for l := range out {
-		out[l] = CapPoint{CapW: base + float64(l)*serverCapStepW, Perf: best[l], GridW: grid[l]}
-	}
-	return out
+	var a Apportioner
+	return a.Rollup(floorW, curves, 0)
 }
 
 // DownsampleCurve thins a curve to at most maxPoints samples, always
@@ -113,12 +79,13 @@ func costSteps(deltaW, stepW float64) int {
 // ApportionShards splits clusterCapW across shards to maximize summed
 // performance: the multiple-choice knapsack over each shard's rollup,
 // run on a grid coarsened to at most maxLevels levels (0 takes
-// DefaultShardLevels) so the global tier's work stays O(shards), not
-// O(fleet watts). Shards with empty curves take an even share of the
-// cap, mirroring the flat coordinator's curveless-member fallback; the
-// DP apportions the remainder across the curve-bearing shards, each
-// owed at least its own floor (heterogeneous floors are fine here —
-// every shard's curve already prices watts above its own first point).
+// DefaultShardLevels; 1 is raised to 2) so the global tier's work stays
+// O(shards), not O(fleet watts). Shards with empty curves take an even
+// share of the cap, mirroring the flat coordinator's curveless-member
+// fallback; the DP apportions the remainder across the curve-bearing
+// shards, each owed at least its own floor (heterogeneous floors are
+// fine here — every shard's curve already prices watts above its own
+// first point).
 //
 // Guarantee: the returned budgets always sum to at most clusterCapW
 // (costs are quantized upward, never down), which is the invariant the
@@ -131,6 +98,11 @@ func ApportionShards(clusterCapW float64, shards []ShardCurve, maxLevels int) (b
 	}
 	if maxLevels <= 0 {
 		maxLevels = DefaultShardLevels
+	} else if maxLevels < 2 {
+		// One level cannot span the spare watts: its step would be
+		// infinite, every point would cost nothing, and the budgets
+		// could sum past the cap.
+		maxLevels = 2
 	}
 	per := clusterCapW / float64(n)
 	remainW := clusterCapW
@@ -170,20 +142,24 @@ func ApportionShards(clusterCapW float64, shards []ShardCurve, maxLevels int) (b
 	levels := int(spare/stepW+1e-9) + 1
 	best := make([]float64, levels)
 	choice := make([][]int, len(curved))
+	cost := make([][]int, len(curved))
 	for j, i := range curved {
 		pts := shards[i].Points
+		cost[j] = make([]int, len(pts))
+		for k := range pts {
+			cost[j][k] = costSteps(pts[k].CapW-pts[0].CapW, stepW)
+		}
 		choice[j] = make([]int, levels)
 		next := make([]float64, levels)
 		for l := 0; l < levels; l++ {
 			bestV, bestK := math.Inf(-1), 0
-			for k := range pts {
+			for k, c := range cost[j] {
 				// Curve caps are strictly increasing, so costs are
 				// non-decreasing: past the level there is nothing left.
-				cost := costSteps(pts[k].CapW-pts[0].CapW, stepW)
-				if cost > l {
+				if c > l {
 					break
 				}
-				if v := best[l-cost] + pts[k].Perf; v > bestV {
+				if v := best[l-c] + pts[k].Perf; v > bestV {
 					bestV, bestK = v, k
 				}
 			}
@@ -199,7 +175,7 @@ func ApportionShards(clusterCapW float64, shards []ShardCurve, maxLevels int) (b
 		k := choice[j][l]
 		budgets[i] = pts[k].CapW
 		perf += pts[k].Perf
-		l -= costSteps(pts[k].CapW-pts[0].CapW, stepW)
+		l -= cost[j][k]
 	}
 	return budgets, perf
 }

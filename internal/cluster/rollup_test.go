@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -60,6 +61,129 @@ func TestRollupMatchesFlatDP(t *testing.T) {
 			if roll[l].Perf < roll[l-1].Perf {
 				t.Fatalf("rollup perf decreasing at %d", l)
 			}
+		}
+	}
+}
+
+// referenceRollup is the standalone rollup forward loop: the
+// ApportionCurves DP run at the full level count, carrying each level's
+// grid draw alongside its value. It is the independent reference the
+// cached table's rollup read must match bit for bit.
+func referenceRollup(floorW float64, curves [][]CapPoint) []CapPoint {
+	n := len(curves)
+	if n == 0 {
+		return nil
+	}
+	levels := 1
+	for _, c := range curves {
+		if len(c) == 0 {
+			return nil
+		}
+		levels += len(c) - 1
+	}
+	best := make([]float64, levels)
+	grid := make([]float64, levels)
+	for i := 0; i < n; i++ {
+		next := make([]float64, levels)
+		nextGrid := make([]float64, levels)
+		for l := 0; l < levels; l++ {
+			bestV, bestG := math.Inf(-1), 0.0
+			kMax := l
+			if kMax >= len(curves[i]) {
+				kMax = len(curves[i]) - 1
+			}
+			for k := 0; k <= kMax; k++ {
+				if v := best[l-k] + curves[i][k].Perf; v > bestV {
+					bestV = v
+					bestG = grid[l-k] + curves[i][k].GridW
+				}
+			}
+			next[l], nextGrid[l] = bestV, bestG
+		}
+		best, grid = next, nextGrid
+	}
+	out := make([]CapPoint, levels)
+	base := floorW * float64(n)
+	for l := range out {
+		out[l] = CapPoint{CapW: base + float64(l)*serverCapStepW, Perf: best[l], GridW: grid[l]}
+	}
+	return out
+}
+
+// sameBits reports whether two curves are equal point for point, bit
+// for bit (signed zeros and NaNs included).
+func sameBits(a, b []CapPoint) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i].CapW) != math.Float64bits(b[i].CapW) ||
+			math.Float64bits(a[i].Perf) != math.Float64bits(b[i].Perf) ||
+			math.Float64bits(a[i].GridW) != math.Float64bits(b[i].GridW) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestApportionerRollupMatchesReference holds the shared table's rollup
+// read bit-identical to the standalone forward loop, and its budgets to
+// ApportionCurves, through a seeded sequence that interleaves Apportion
+// and Rollup on one Apportioner across every way the table can move:
+// cap rises and drops, a floor change, members joining and leaving,
+// and curves changing length.
+func TestApportionerRollupMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	floorW := 40.0
+	var curves [][]CapPoint
+	for i := 0; i < 6; i++ {
+		curves = append(curves, randCurve(rng, floorW))
+	}
+	var a Apportioner
+	maxPoints := []int{0, 2, 17, 256}
+	for step := 0; step < 300; step++ {
+		if step == 150 {
+			floorW += 5
+		}
+		switch op := rng.Intn(10); {
+		case op == 1 && len(curves) < 14:
+			i := rng.Intn(len(curves) + 1)
+			curves = append(curves[:i], append([][]CapPoint{randCurve(rng, floorW)}, curves[i:]...)...)
+		case op == 2 && len(curves) > 1:
+			i := rng.Intn(len(curves))
+			curves = append(curves[:i:i], curves[i+1:]...)
+		case op == 3:
+			// A new curve for one member, usually of another length.
+			curves[rng.Intn(len(curves))] = randCurve(rng, floorW)
+		}
+		n := float64(len(curves))
+		if rng.Intn(2) == 0 {
+			capW := floorW*n*0.5 + rng.Float64()*floorW*n*2.5
+			wantB, wantP, wantG := ApportionCurves(capW, floorW, curves)
+			gotB, gotP, gotG := a.Apportion(capW, floorW, curves)
+			if gotP != wantP || gotG != wantG {
+				t.Fatalf("step %d: apportion perf/grid (%v, %v), full DP (%v, %v)", step, gotP, gotG, wantP, wantG)
+			}
+			for i := range wantB {
+				if gotB[i] != wantB[i] {
+					t.Fatalf("step %d: member %d budget %v, full DP %v", step, i, gotB[i], wantB[i])
+				}
+			}
+			continue
+		}
+		mp := maxPoints[rng.Intn(len(maxPoints))]
+		want := DownsampleCurve(referenceRollup(floorW, curves), mp)
+		got := a.Rollup(floorW, curves, mp)
+		if !sameBits(got, want) {
+			t.Fatalf("step %d (maxPoints %d): rollup differs from the reference loop", step, mp)
+		}
+		// A clean repeat rebuilds nothing and serves the memoized slice.
+		again := a.Rollup(floorW, curves, mp)
+		if a.LastRecomputed() != 0 {
+			t.Fatalf("step %d: clean repeat rebuilt %d layers", step, a.LastRecomputed())
+		}
+		if &again[0] != &got[0] {
+			t.Fatalf("step %d: clean repeat did not reuse the memoized rollup", step)
 		}
 	}
 }
@@ -139,6 +263,22 @@ func TestApportionShardsCoarseGrid(t *testing.T) {
 	// The coarse solve must still find most of the utility.
 	if coarsePerf < 0.8*finePerf {
 		t.Fatalf("coarse grid lost too much: %g vs %g", coarsePerf, finePerf)
+	}
+}
+
+// A one-level grid used to price every point at zero steps (its step
+// was spare/0 = +Inf) and granted every shard its saturation cap. Any
+// level bound must keep the budgets within the cap.
+func TestApportionShardsMaxLevelsRespectsCap(t *testing.T) {
+	shards := []ShardCurve{
+		{FloorW: 100, Points: lineCurve(100, 51, 0.01)}, // 100–200 W
+		{FloorW: 100, Points: lineCurve(100, 51, 0.01)},
+	}
+	for _, maxLevels := range []int{1, 2, 3} {
+		budgets, _ := ApportionShards(250, shards, maxLevels)
+		if got := sum(budgets); got > 250+1e-6 {
+			t.Fatalf("maxLevels %d: budgets %v sum to %g W over the 250 W cap", maxLevels, budgets, got)
+		}
 	}
 }
 

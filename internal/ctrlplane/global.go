@@ -53,7 +53,7 @@ type GlobalConfig struct {
 	// max(used, demand) when headroom is rebalanced (default 0.05).
 	GuardFrac float64
 	// MaxLevels coarsens the global DP grid (default
-	// cluster.DefaultShardLevels).
+	// cluster.DefaultShardLevels; otherwise at least 2).
 	MaxLevels int
 	// MaxInFlight bounds trunk fan-out concurrency (default 8).
 	MaxInFlight int
@@ -244,6 +244,9 @@ func NewGlobal(cfg GlobalConfig) (*Global, error) {
 	}
 	if cfg.LeaseIv > 0 && (!finite(cfg.IntervalS) || cfg.IntervalS <= 0) {
 		return nil, fmt.Errorf("ctrlplane: interval leases need a positive interval length, got %g s", cfg.IntervalS)
+	}
+	if cfg.MaxLevels < 0 || cfg.MaxLevels == 1 {
+		return nil, fmt.Errorf("ctrlplane: global DP grid of %d levels (want 0 for the default, or at least 2)", cfg.MaxLevels)
 	}
 	tel := newCtrlTel(cfg.Telemetry)
 	g := &Global{

@@ -240,7 +240,11 @@ func (s *ShardCoordinator) refreshReport(t, budget float64) {
 		}
 	}
 	if allCurved && len(curves) > 0 {
-		rep.Curve = cluster.DownsampleCurve(cluster.RollupCurves(floor, curves), s.cfg.rollupPoints())
+		// The rollup is read off the coordinator's own DP table, so it
+		// costs nothing while no member curve moved. The returned slice
+		// is memoized and never written again, so concurrent Report
+		// calls may keep reading it.
+		rep.Curve = s.c.dp.Rollup(floor, curves, s.cfg.rollupPoints())
 	}
 	s.mu.Lock()
 	rep.Starved = s.starved
