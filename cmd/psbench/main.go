@@ -40,8 +40,8 @@ type baselineFile struct {
 	// Hier is the two-tier matrix: the whole hierarchical control loop
 	// (every shard step plus the global step) timed per interval.
 	Hier []ctrlplane.HierBenchCell `json:"hier_cells,omitempty"`
-	// DP is the apportioning-DP matrix: the full ApportionCurves
-	// recompute against the incremental fast path when k of n member
+	// DP is the apportioning-DP matrix: ApportionCurves (a cold
+	// Apportioner) against a warm one's incremental path when k of n member
 	// curves change per interval — the hot path once a learning fleet's
 	// curves move between intervals.
 	DP []cluster.DPBenchCell `json:"dp_cells,omitempty"`
@@ -57,7 +57,7 @@ func main() {
 		fleets     = flag.String("fleets", "10,100,1000", "comma-separated fleet sizes to measure")
 		transports = flag.String("transports", "json,binary", "comma-separated transports to measure")
 		hier       = flag.String("hier", "1000x8", "two-tier cells to measure as AGENTSxSHARDS, comma-separated (empty: skip the binary-2tier matrix)")
-		dp         = flag.String("dp", "128x0,128x1,128x4", "apportioning-DP cells to measure as MEMBERSxCHANGED, comma-separated (empty: skip the DP matrix)")
+		dp         = flag.String("dp", "128x0,128x1,128x4", "apportioning-DP cells to measure as MEMBERSxCHANGED, cold vs. warm cluster.Apportioner, comma-separated (empty: skip the DP matrix)")
 		runs       = flag.Int("runs", 5, "samples per cell (minimum is reported; policy floor is 5)")
 		intervals  = flag.Int("intervals", 10, "measured control intervals per sample")
 		inflight   = flag.Int("max-inflight", 64, "coordinator fan-out width (identical across cells)")

@@ -293,10 +293,10 @@ func (s *Sim) AddArrivalCritical(at float64, p *workload.Profile, beats, weight,
 	if at < 0 {
 		return fmt.Errorf("accountant: arrival at %g s", at)
 	}
-	if weight <= 0 {
-		return fmt.Errorf("accountant: %s: weight %g must be positive", p.Name, weight)
+	if !(weight > 0) || math.IsInf(weight, 1) {
+		return fmt.Errorf("accountant: %s: weight %g must be positive and finite", p.Name, weight)
 	}
-	if floorPerf < 0 || floorPerf > 1 {
+	if !(floorPerf >= 0 && floorPerf <= 1) {
 		return fmt.Errorf("accountant: %s: floor %g outside [0, 1]", p.Name, floorPerf)
 	}
 	s.arrivals = append(s.arrivals, arrival{

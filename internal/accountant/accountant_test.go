@@ -289,6 +289,28 @@ func TestRecalibrationConvergesAfterPhaseChange(t *testing.T) {
 	}
 }
 
+// A NaN weight used to be admitted and then surface as a false
+// ErrInfeasible, silently degrading every SLO to best-effort.
+func TestCriticalArrivalRejectsNonFinite(t *testing.T) {
+	sim, lib := newSim(t, policy.AppResAware, 0)
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name          string
+		weight, floor float64
+	}{
+		{"NaN weight", nan, 0},
+		{"+Inf weight", inf, 0},
+		{"-Inf weight", -inf, 0},
+		{"NaN floor", 1, nan},
+		{"+Inf floor", 1, inf},
+		{"-Inf floor", 1, -inf},
+	} {
+		if err := sim.AddArrivalCritical(0, lib.MustApp("STREAM"), 0, tc.weight, tc.floor); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
+	}
+}
+
 func TestCriticalArrivalHoldsFloorAndDegradesGracefully(t *testing.T) {
 	sim, lib := newSim(t, policy.AppResAware, 0)
 	// kmeans is latency-critical with a floor feasible at 100 W but not

@@ -14,7 +14,6 @@ package allocator
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"powerstruggle/internal/simhw"
@@ -59,71 +58,11 @@ type Plan struct {
 
 // Apportion splits budget watts across the applications described by
 // curves, maximizing the sum of normalized performances (the paper's
-// objective with all applications weighed evenly). stepW sets the DP
-// resolution; pass 0 for DefaultStepW.
-func Apportion(curves []*workload.Curve, budget, stepW float64) (plan Plan, err error) {
-	if len(curves) == 0 {
-		return Plan{}, fmt.Errorf("allocator: no applications to apportion across")
-	}
-	if h := tel.Load(); h != nil {
-		start := time.Now()
-		defer func() { h.observeSolve("dp", start, budget, plan) }()
-	}
-	if stepW <= 0 {
-		stepW = DefaultStepW
-	}
-	if budget < 0 {
-		budget = 0
-	}
-	levels := int(budget/stepW) + 1
-
-	// perfAt[i][l] is application i's best perf with budget l*stepW.
-	perfAt := make([][]float64, len(curves))
-	for i, c := range curves {
-		row := make([]float64, levels)
-		for l := 0; l < levels; l++ {
-			row[l] = c.PerfAt(float64(l) * stepW)
-		}
-		perfAt[i] = row
-	}
-
-	// DP over applications: best[l] is the max total perf using budget
-	// l*stepW over the first i applications; choice[i][l] records how
-	// much the i-th application took.
-	best := make([]float64, levels)
-	choice := make([][]int, len(curves))
-	for i := range curves {
-		choice[i] = make([]int, levels)
-		next := make([]float64, levels)
-		for l := 0; l < levels; l++ {
-			bestV, bestK := math.Inf(-1), 0
-			for k := 0; k <= l; k++ {
-				v := best[l-k] + perfAt[i][k]
-				if v > bestV {
-					bestV, bestK = v, k
-				}
-			}
-			next[l] = bestV
-			choice[i][l] = bestK
-		}
-		best = next
-	}
-
-	// Walk the choices back from the full budget.
-	plan = Plan{Allocs: make([]Allocation, len(curves))}
-	l := levels - 1
-	for i := len(curves) - 1; i >= 0; i-- {
-		k := choice[i][l]
-		share := float64(k) * stepW
-		pt, ok := curves[i].At(share)
-		plan.Allocs[i] = Allocation{BudgetW: share, Point: pt, Runnable: ok}
-		if ok {
-			plan.TotalPerf += pt.Perf
-			plan.SpentW += pt.PowerW
-		}
-		l -= k
-	}
-	return plan, nil
+// objective with all applications weighed evenly): ApportionWeighted
+// with unit weights and no floors. stepW sets the DP resolution; pass 0
+// for DefaultStepW.
+func Apportion(curves []*workload.Curve, budget, stepW float64) (Plan, error) {
+	return ApportionWeighted(curves, nil, budget, stepW)
 }
 
 // EqualSplit apportions the budget evenly across all applications — the

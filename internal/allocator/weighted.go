@@ -3,7 +3,9 @@ package allocator
 import (
 	"fmt"
 	"math"
+	"time"
 
+	"powerstruggle/internal/mcknap"
 	"powerstruggle/internal/workload"
 )
 
@@ -25,24 +27,29 @@ type Objective struct {
 // performance floors. Floors turn latency-critical co-location into the
 // paper's framework: the latency-critical application states the
 // normalized throughput its SLO needs, and only the leftover watts are
-// up for utility-maximizing grabs.
+// up for utility-maximizing grabs. nil objs weighs every application
+// evenly with no floor, the paper's objective (1).
 //
 // It returns ErrInfeasible (wrapped) when the floors cannot all be met
 // within the budget.
-func ApportionWeighted(curves []*workload.Curve, objs []Objective, budget, stepW float64) (Plan, error) {
+func ApportionWeighted(curves []*workload.Curve, objs []Objective, budget, stepW float64) (plan Plan, err error) {
 	if len(curves) == 0 {
 		return Plan{}, fmt.Errorf("allocator: no applications to apportion across")
 	}
-	if len(objs) != len(curves) {
+	if objs != nil && len(objs) != len(curves) {
 		return Plan{}, fmt.Errorf("allocator: %d objectives for %d applications", len(objs), len(curves))
 	}
 	for i, o := range objs {
-		if o.Weight < 0 {
-			return Plan{}, fmt.Errorf("allocator: application %d has negative weight %g", i, o.Weight)
+		if !(o.Weight >= 0) || math.IsInf(o.Weight, 1) {
+			return Plan{}, fmt.Errorf("allocator: application %d has weight %g, want a finite non-negative one", i, o.Weight)
 		}
-		if o.FloorPerf < 0 || o.FloorPerf > 1 {
+		if !(o.FloorPerf >= 0 && o.FloorPerf <= 1) {
 			return Plan{}, fmt.Errorf("allocator: application %d has floor %g outside [0, 1]", i, o.FloorPerf)
 		}
+	}
+	if h := tel.Load(); h != nil {
+		start := time.Now()
+		defer func() { h.observeSolve("dp", start, budget, plan) }()
 	}
 	if stepW <= 0 {
 		stepW = DefaultStepW
@@ -52,69 +59,43 @@ func ApportionWeighted(curves []*workload.Curve, objs []Objective, budget, stepW
 	}
 	levels := int(budget/stepW) + 1
 
-	// minLevels[i] is the cheapest budget level meeting application i's
-	// floor; scoreAt[i][l] is its weighted objective at level l (or
-	// -Inf below the floor).
-	minLevels := make([]int, len(curves))
-	scoreAt := make([][]float64, len(curves))
+	// Row i offers application i every budget level l at a cost of l
+	// levels, scored at its weighted perf there (-Inf below its floor).
+	var t mcknap.Table
+	t.Grow(levels)
 	for i, c := range curves {
-		minLevels[i] = -1
-		row := make([]float64, levels)
-		for l := 0; l < levels; l++ {
-			perf := c.PerfAt(float64(l) * stepW)
-			if perf+1e-12 < objs[i].FloorPerf {
-				row[l] = math.Inf(-1)
-				continue
-			}
-			if minLevels[i] == -1 {
-				minLevels[i] = l
-			}
-			row[l] = objs[i].Weight * perf
+		o := Objective{Weight: 1}
+		if objs != nil {
+			o = objs[i]
 		}
-		if minLevels[i] == -1 {
+		row := make([]mcknap.Option, levels)
+		reachable := false
+		for l := range row {
+			row[l] = mcknap.Option{Cost: l, Value: math.Inf(-1)}
+			if perf := c.PerfAt(float64(l) * stepW); perf+1e-12 >= o.FloorPerf {
+				row[l].Value, reachable = o.Weight*perf, true
+			}
+		}
+		if !reachable {
 			return Plan{}, fmt.Errorf("allocator: %w: application %d cannot reach floor %.2f under %.1f W",
-				ErrInfeasible, i, objs[i].FloorPerf, budget)
+				ErrInfeasible, i, o.FloorPerf, budget)
 		}
-		scoreAt[i] = row
+		t.Push(row)
 	}
-
-	best := make([]float64, levels)
-	choice := make([][]int, len(curves))
-	for i := range curves {
-		choice[i] = make([]int, levels)
-		next := make([]float64, levels)
-		for l := 0; l < levels; l++ {
-			bestV, bestK := math.Inf(-1), -1
-			for k := minLevels[i]; k <= l; k++ {
-				prev := best[l-k]
-				if math.IsInf(prev, -1) || math.IsInf(scoreAt[i][k], -1) {
-					continue
-				}
-				if v := prev + scoreAt[i][k]; v > bestV {
-					bestV, bestK = v, k
-				}
-			}
-			next[l] = bestV
-			choice[i][l] = bestK
-		}
-		best = next
-	}
-	if math.IsInf(best[levels-1], -1) {
+	ks := make([]int, len(curves))
+	if math.IsInf(t.Choose(levels-1, ks), -1) {
 		return Plan{}, fmt.Errorf("allocator: %w: floors need more than %.1f W", ErrInfeasible, budget)
 	}
 
-	plan := Plan{Allocs: make([]Allocation, len(curves))}
-	l := levels - 1
+	plan = Plan{Allocs: make([]Allocation, len(curves))}
 	for i := len(curves) - 1; i >= 0; i-- {
-		k := choice[i][l]
-		share := float64(k) * stepW
+		share := float64(ks[i]) * stepW
 		pt, ok := curves[i].At(share)
 		plan.Allocs[i] = Allocation{BudgetW: share, Point: pt, Runnable: ok}
 		if ok {
 			plan.TotalPerf += pt.Perf
 			plan.SpentW += pt.PowerW
 		}
-		l -= k
 	}
 	return plan, nil
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"powerstruggle/internal/telemetry"
 	"powerstruggle/internal/workload"
 )
 
@@ -21,6 +22,29 @@ func TestWeightedValidation(t *testing.T) {
 	}
 	if _, err := ApportionWeighted(curves, []Objective{{Weight: 1, FloorPerf: 2}, {Weight: 1}}, 10, 0); err == nil {
 		t.Error("floor above 1 accepted")
+	}
+}
+
+// NaN fails every ordered comparison, so an unguarded NaN weight scored
+// every level NaN and surfaced as a false ErrInfeasible.
+func TestWeightedRejectsNonFinite(t *testing.T) {
+	_, curves, _ := testCurves(t, "STREAM", "kmeans")
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		obj  Objective
+	}{
+		{"NaN weight", Objective{Weight: nan}},
+		{"+Inf weight", Objective{Weight: inf}},
+		{"-Inf weight", Objective{Weight: -inf}},
+		{"NaN floor", Objective{Weight: 1, FloorPerf: nan}},
+		{"+Inf floor", Objective{Weight: 1, FloorPerf: inf}},
+		{"-Inf floor", Objective{Weight: 1, FloorPerf: -inf}},
+	} {
+		_, err := ApportionWeighted(curves, []Objective{tc.obj, {Weight: 1}}, 20, 0)
+		if err == nil || errors.Is(err, ErrInfeasible) {
+			t.Errorf("%s: got %v, want a validation error", tc.name, err)
+		}
 	}
 }
 
@@ -150,5 +174,31 @@ func TestWeightedMatchesBruteForceWithFloors(t *testing.T) {
 		if math.Abs(got-best) > 1e-9 {
 			t.Errorf("budget %g: DP weighted objective %g, brute force %g", budget, got, best)
 		}
+	}
+}
+
+// Every DP solve — weighted or not — counts under solver="dp", so the
+// SLO-aware plans show up in ps_allocator_solves_total and
+// ps_allocator_solve_seconds.
+func TestWeightedSolvesAreObserved(t *testing.T) {
+	_, curves, _ := testCurves(t, "STREAM", "kmeans")
+	reg := telemetry.NewRegistry()
+	EnableTelemetry(reg)
+	defer EnableTelemetry(nil)
+	solves := reg.CounterVec("ps_allocator_solves_total", "", "solver").With("dp")
+	seconds := reg.HistogramVec("ps_allocator_solve_seconds", "", telemetry.LatencyBuckets(), "solver").With("dp")
+
+	objs := []Objective{{Weight: 2, FloorPerf: 0.3}, {Weight: 1}}
+	if _, err := ApportionWeighted(curves, objs, 20, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := solves.Value(); got != 1 {
+		t.Fatalf("weighted solve counted %d times, want 1", got)
+	}
+	if _, err := Apportion(curves, 20, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got, n := solves.Value(), seconds.Count(); got != 2 || n != 2 {
+		t.Fatalf("after an unweighted solve: %d solves, %d timings; want 2 and 2", got, n)
 	}
 }

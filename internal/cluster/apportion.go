@@ -62,63 +62,21 @@ func (e *Evaluator) ServerCapCurve(i int) ([]CapPoint, error) {
 // to maximize summed performance and returns the chosen per-server
 // budgets alongside the performance and grid draw those choices
 // deliver. The cap is quantized to the curve grid (ServerCapStepW) and
-// every server is owed at least floorW (its idle floor) before the DP
-// distributes the spare watts; curve point k is priced at k steps above
-// the floor, exactly as the curves are sampled.
+// every server is owed floorW (its idle floor) before the DP
+// distributes the spare watts; curve point k is priced at its real
+// watts above the floor (above the curve's first point, when that lies
+// below the floor), rounded up to whole grid steps, so the budgets
+// never sum past the quantized cap whatever the curves' spacing. When
+// the priced curves' first points do not all fit, every server gets an
+// even share of the quantized cap.
 //
 // This one function is shared by the in-process evaluator and the
 // networked coordinator, which is what makes the control plane's budget
 // decisions bit-identical to the simulation's: same curves in, same
-// budgets out.
+// budgets out. It is a cold Apportioner.
 func ApportionCurves(clusterCapW, floorW float64, curves [][]CapPoint) (budgets []float64, perf, gridW float64) {
-	n := len(curves)
-	budgets = make([]float64, n)
-	if n == 0 {
-		return budgets, 0, 0
-	}
-	capQ := math.Floor(clusterCapW/serverCapStepW) * serverCapStepW
-	if capQ < floorW*float64(n) {
-		// Not even the idle floors fit; the fleet draws what it may.
-		per := capQ / float64(n)
-		for i := range budgets {
-			budgets[i] = per
-		}
-		return budgets, 0, capQ
-	}
-	// DP over the budget above the idle floors, in curve-index units
-	// (curve point k costs k*serverCapStepW above the floor).
-	spare := capQ - floorW*float64(n)
-	levels := int(spare/serverCapStepW) + 1
-	best := make([]float64, levels)
-	choice := make([][]int, n)
-	for i := 0; i < n; i++ {
-		choice[i] = make([]int, levels)
-		next := make([]float64, levels)
-		for l := 0; l < levels; l++ {
-			bestV, bestK := math.Inf(-1), 0
-			kMax := l
-			if kMax >= len(curves[i]) {
-				kMax = len(curves[i]) - 1
-			}
-			for k := 0; k <= kMax; k++ {
-				if v := best[l-k] + curves[i][k].Perf; v > bestV {
-					bestV, bestK = v, k
-				}
-			}
-			next[l] = bestV
-			choice[i][l] = bestK
-		}
-		best = next
-	}
-	l := levels - 1
-	for i := n - 1; i >= 0; i-- {
-		k := choice[i][l]
-		budgets[i] = curves[i][k].CapW
-		perf += curves[i][k].Perf
-		gridW += curves[i][k].GridW
-		l -= k
-	}
-	return budgets, perf, gridW
+	var a Apportioner
+	return a.Apportion(clusterCapW, floorW, curves)
 }
 
 // utilityCache memoizes the DP on the quantized cluster cap.

@@ -23,7 +23,8 @@ func randCurve(rng *rand.Rand, floorW float64) []CapPoint {
 }
 
 // TestApportionerMatchesFullDP holds the incremental apportioner
-// bit-identical to ApportionCurves through a randomized interval
+// bit-identical to the pre-kernel ApportionCurves loop
+// (referenceApportionCurves) through a randomized interval
 // sequence: caps move every step, and a random subset of member curves
 // (often none, sometimes all) changes between steps — the exact access
 // pattern the coordinator generates once live daemons learn online.
@@ -51,7 +52,7 @@ func TestApportionerMatchesFullDP(t *testing.T) {
 			}
 			// Caps span from "floors don't fit" to generous.
 			capW := floorW*float64(n)*0.5 + rng.Float64()*floorW*float64(n)*2.5
-			wantB, wantP, wantG := ApportionCurves(capW, floorW, curves)
+			wantB, wantP, wantG := referenceApportionCurves(capW, floorW, curves)
 			gotB, gotP, gotG := inc.Apportion(capW, floorW, curves)
 			if gotP != wantP || gotG != wantG {
 				t.Fatalf("trial %d step %d: perf/grid (%v, %v), full DP (%v, %v)",

@@ -9,11 +9,11 @@ import (
 
 // This file is the apportioning-DP benchmark harness behind cmd/psbench
 // and the dp_cells of the committed BENCH_ctrlplane.json baseline. It
-// measures the planner, not the wire: the full ApportionCurves DP
-// against the Apportioner's incremental fast path over the same
-// deterministic curve-mutation stream, so the committed speedup is the
-// one the coordinator actually sees when k of n learned curves move
-// between intervals. Every interval the two paths' outputs are compared
+// measures the planner, not the wire: ApportionCurves (a cold
+// Apportioner, every layer rebuilt) against a warm Apportioner's
+// incremental fast path over the same deterministic curve-mutation
+// stream, so the committed speedup is the one the coordinator actually
+// sees when k of n learned curves move between intervals. Every interval the two paths' outputs are compared
 // bit for bit — the cell is a correctness gate as much as a perf one.
 
 // DPBenchCell is one (members, changed-per-interval) measurement — the

@@ -1,6 +1,10 @@
 package cluster
 
-import "math"
+import (
+	"math"
+
+	"powerstruggle/internal/mcknap"
+)
 
 // This file is the hierarchical tier of the Utility(Ours) apportioning
 // machinery: per-shard curve rollups, the cluster-level DP that splits
@@ -20,12 +24,14 @@ import "math"
 const DefaultShardLevels = 2048
 
 // RollupCurves aggregates a shard's member cap-utility curves into one
-// shard-level curve: point l is the best summed performance (and the
-// grid draw of the member split achieving it) the shard can deliver
-// when granted floorW per member plus l spare steps of ServerCapStepW.
-// It is the forward table of the ApportionCurves DP read out level by
-// level, so a cluster-level apportioner consuming the rollup prices the
-// shard's watts exactly as the shard's own coordinator will spend them.
+// shard-level curve: each point is the best summed performance (and
+// the grid draw of the member split achieving it) the shard can deliver
+// when granted floorW per member plus l spare steps of ServerCapStepW,
+// for every l from where all members' first points fit (0 for curves
+// that start at the floor) to where all take their last. It is the
+// forward table of the ApportionCurves DP read out level by level, so
+// a cluster-level apportioner consuming the rollup prices the shard's
+// watts exactly as the shard's own coordinator will spend them.
 // A shard coordinator reads it off its cached table
 // (Apportioner.Rollup); this is the same read on a fresh one.
 //
@@ -74,6 +80,26 @@ func costSteps(deltaW, stepW float64) int {
 		return 0
 	}
 	return int(math.Ceil(deltaW/stepW - 1e-9))
+}
+
+// pointCost is the one pricing rule every cap-curve tier applies: curve
+// point k costs its watts above owedW — or above the curve's first
+// point, when that lies below owedW — in whole stepW steps, rounded up.
+// A curve starting at owedW on the stepW grid prices point k at exactly
+// k; one starting below owedW is priced from its own first point, which
+// only overcharges it.
+func pointCost(curve []CapPoint, k int, owedW, stepW float64) int {
+	return costSteps(curve[k].CapW-math.Min(owedW, curve[0].CapW), stepW)
+}
+
+// priceCurve is a curve as a knapsack row: option k costs pointCost and
+// is worth point k's perf.
+func priceCurve(curve []CapPoint, owedW, stepW float64) []mcknap.Option {
+	row := make([]mcknap.Option, len(curve))
+	for k, p := range curve {
+		row[k] = mcknap.Option{Cost: pointCost(curve, k, owedW, stepW), Value: p.Perf}
+	}
+	return row
 }
 
 // ApportionShards splits clusterCapW across shards to maximize summed
@@ -140,42 +166,17 @@ func ApportionShards(clusterCapW float64, shards []ShardCurve, maxLevels int) (b
 		stepW = spare / float64(maxLevels-1)
 	}
 	levels := int(spare/stepW+1e-9) + 1
-	best := make([]float64, levels)
-	choice := make([][]int, len(curved))
-	cost := make([][]int, len(curved))
-	for j, i := range curved {
-		pts := shards[i].Points
-		cost[j] = make([]int, len(pts))
-		for k := range pts {
-			cost[j][k] = costSteps(pts[k].CapW-pts[0].CapW, stepW)
-		}
-		choice[j] = make([]int, levels)
-		next := make([]float64, levels)
-		for l := 0; l < levels; l++ {
-			bestV, bestK := math.Inf(-1), 0
-			for k, c := range cost[j] {
-				// Curve caps are strictly increasing, so costs are
-				// non-decreasing: past the level there is nothing left.
-				if c > l {
-					break
-				}
-				if v := best[l-c] + pts[k].Perf; v > bestV {
-					bestV, bestK = v, k
-				}
-			}
-			next[l] = bestV
-			choice[j][l] = bestK
-		}
-		best = next
+	var t mcknap.Table
+	t.Grow(levels)
+	for _, i := range curved {
+		t.Push(priceCurve(shards[i].Points, shards[i].Points[0].CapW, stepW))
 	}
-	l := levels - 1
+	ks := make([]int, len(curved))
+	t.Choose(levels-1, ks)
 	for j := len(curved) - 1; j >= 0; j-- {
-		i := curved[j]
-		pts := shards[i].Points
-		k := choice[j][l]
-		budgets[i] = pts[k].CapW
-		perf += pts[k].Perf
-		l -= cost[j][k]
+		pt := shards[curved[j]].Points[ks[j]]
+		budgets[curved[j]] = pt.CapW
+		perf += pt.Perf
 	}
 	return budgets, perf
 }

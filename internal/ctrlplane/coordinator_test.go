@@ -105,6 +105,49 @@ func TestUtilityHeterogeneousFloorsRejected(t *testing.T) {
 	}
 }
 
+// ownFloorBackend reports a curve on the 2 W grid from its own idle
+// floor rather than from fakeBackend's 10 W.
+type ownFloorBackend struct {
+	fakeBackend
+	floor float64
+}
+
+func (b *ownFloorBackend) IdleFloorW() float64 { return b.floor }
+func (b *ownFloorBackend) UtilityCurve() ([]cluster.CapPoint, error) {
+	var curve []cluster.CapPoint
+	for c := b.floor; c <= b.NameplateW(); c += cluster.ServerCapStepW {
+		curve = append(curve, cluster.CapPoint{CapW: c, Perf: c / 100, GridW: c * 0.9})
+	}
+	return curve, nil
+}
+
+// With an explicit Config.FloorW below a member's own floor, the
+// member's curve starts above the floor the DP owes it. Pricing its
+// points by index instead of by watts granted 90, 110 and 130 W under
+// these caps; every point must cost its real watts.
+func TestUtilityFloorOverrideNeverOverspends(t *testing.T) {
+	refs := startBackendFleet(t, []Backend{
+		&ownFloorBackend{floor: 10}, &ownFloorBackend{floor: 40},
+	})
+	coord, err := New(Config{Agents: refs, Strategy: StrategyUtility, LeaseS: 150, FloorW: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, capW := range []float64{60, 80, 100} {
+		res, err := coord.Step(context.Background(), float64(i), capW)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum float64
+		for _, b := range res.Budgets {
+			sum += b
+		}
+		if sum > capW+1e-9 {
+			t.Fatalf("cap %g W: budgets %v sum to %g W", capW, res.Budgets, sum)
+		}
+	}
+}
+
 // fenceOnLease is a transport shim that fences the agent the moment the
 // coordinator's first lease renewal goes out — the race the coordinator
 // must survive: an agent that fenced after the scrape answered healthy.

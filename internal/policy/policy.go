@@ -134,10 +134,8 @@ func Plan(kind Kind, ctx Context) (Decision, error) {
 	switch {
 	case kind == UtilUnaware || kind == ServerResAware:
 		plan, err = allocator.EqualSplit(curves, budget)
-	case ctx.Objectives != nil:
-		plan, err = allocator.ApportionWeighted(curves, ctx.Objectives, budget, 0)
 	default:
-		plan, err = allocator.Apportion(curves, budget, 0)
+		plan, err = allocator.ApportionWeighted(curves, ctx.Objectives, budget, 0)
 	}
 	if err != nil {
 		return Decision{}, err

@@ -32,6 +32,7 @@ package powerstruggle
 
 import (
 	"fmt"
+	"math"
 
 	"powerstruggle/internal/allocator"
 	"powerstruggle/internal/coordinator"
@@ -167,10 +168,10 @@ func (s *Server) AdmitProfile(p *workload.Profile) error {
 }
 
 func (s *Server) admit(p *workload.Profile, name string, weight, floorPerf float64) error {
-	if weight <= 0 {
-		return fmt.Errorf("powerstruggle: %s: weight %g must be positive", name, weight)
+	if !(weight > 0) || math.IsInf(weight, 1) {
+		return fmt.Errorf("powerstruggle: %s: weight %g must be positive and finite", name, weight)
 	}
-	if floorPerf < 0 || floorPerf > 1 {
+	if !(floorPerf >= 0 && floorPerf <= 1) {
 		return fmt.Errorf("powerstruggle: %s: SLO floor %g outside [0, 1]", name, floorPerf)
 	}
 	s.apps = append(s.apps, p)

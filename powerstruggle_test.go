@@ -1,6 +1,7 @@
 package powerstruggle
 
 import (
+	"math"
 	"testing"
 )
 
@@ -191,6 +192,28 @@ func TestCriticalAdmissionValidation(t *testing.T) {
 	}
 	if err := srv.AdmitCritical("unknown", 1, 0.5); err == nil {
 		t.Error("unknown application accepted")
+	}
+}
+
+// NaN slips past every ordered comparison, so an unguarded NaN weight
+// or floor would be admitted and later read as a false infeasibility.
+func TestCriticalAdmissionRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name          string
+		weight, floor float64
+	}{
+		{"NaN weight", nan, 0},
+		{"+Inf weight", inf, 0},
+		{"-Inf weight", -inf, 0},
+		{"NaN floor", 1, nan},
+		{"+Inf floor", 1, inf},
+		{"-Inf floor", 1, -inf},
+	} {
+		srv := newTestServer(t)
+		if err := srv.AdmitCritical("STREAM", tc.weight, tc.floor); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }
 
