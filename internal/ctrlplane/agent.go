@@ -112,48 +112,23 @@ func (c SafeModeConfig) CapAt(t, expireT, heldW float64) float64 {
 }
 
 // Agent is the per-server control-plane endpoint: it holds the enforced
-// cap, the draw lease, and the last applied sequence number, and fences
-// itself when the lease lapses. All methods are safe for concurrent
-// use.
+// cap and its lease ledger, and fences itself when the lease lapses.
+// Its lease clock is the coordinator's trace time. All methods are safe
+// for concurrent use.
 type Agent struct {
 	cfg AgentConfig
 
-	mu         sync.Mutex
-	capW       float64
-	perfN      float64
-	gridW      float64
-	lastEpoch  uint64
-	lastSeq    uint64
-	lastGrantT float64
-	leaseS     float64
-	// Protocol-clock state (docs/CONTROL_PLANE.md "Protocol clock").
-	// grantIv/leaseIv/ivS are the in-force grant's clock triple: the
-	// lease lapses once the effective interval reaches grantIv+leaseIv.
-	// lastSeenIv is the highest interval observed from any grant or
-	// renewal; lastSeenT anchors it on the local clock so the effective
-	// interval keeps counting at ivS when the coordinator stalls.
-	grantIv    uint64
-	leaseIv    uint64
-	ivS        float64
-	lastSeenIv uint64
-	lastSeenT  float64
-	// localT is the agent's own clock high-water mark (trace time for
-	// replay agents, injected wall seconds for daemons).
-	localT float64
-	// skewIv is the last measured coordinator skew in intervals:
-	// locally elapsed intervals minus coordinator-minted intervals over
-	// the same span (positive = the coordinator runs slow).
-	skewIv float64
-	fenced bool
-	// safeMode is a flavor of fenced: the lease lapsed, but instead of
-	// the fence cap the agent enforces heldW decaying per SafeMode.
-	// Only a fresh Assign clears it.
-	safeMode    bool
-	safeEntries int
-	heldW       float64
-	expireT     float64
-	curve       []cluster.CapPoint
-	curveBuilt  bool
+	mu    sync.Mutex
+	capW  float64
+	perfN float64
+	gridW float64
+	// lease is the (epoch, seq) fence, draw lease and protocol clock
+	// (docs/CONTROL_PLANE.md "Protocol clock"). Lapsed means fenced;
+	// in safe mode the agent enforces the held cap decaying per
+	// cfg.SafeMode instead of the fence cap.
+	lease      Lease
+	curve      []cluster.CapPoint
+	curveBuilt bool
 	// Online-learning state (cfg.Learn): est learns the cap→utility
 	// curve from enforced caps, grantW remembers the full grant so a
 	// probing agent can restore it, and lastProbeIv rate-limits probe
@@ -162,13 +137,6 @@ type Agent struct {
 	est         *cf.OnlineEstimator
 	grantW      float64
 	lastProbeIv uint64
-	// assigns/fences/staleDrops/epochDrops count protocol activity for
-	// the local operator (the coordinator has its own fleet-wide
-	// counters).
-	assigns    int
-	fences     int
-	staleDrops int
-	epochDrops int
 }
 
 // NewAgent builds an agent booted in the fenced state: until the first
@@ -190,7 +158,8 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 	if cfg.SafeMode.Enabled() && cfg.SafeMode.FloorW == 0 {
 		cfg.SafeMode.FloorW = cfg.FenceCapW
 	}
-	a := &Agent{cfg: cfg, fenced: true, capW: cfg.FenceCapW}
+	a := &Agent{cfg: cfg, capW: cfg.FenceCapW}
+	a.lease.lapsed = true
 	if cfg.Learn != nil {
 		lc := *cfg.Learn
 		if lc.FloorW == 0 {
@@ -229,12 +198,7 @@ func (a *Agent) Assign(req AssignRequest) (AssignResponse, error) {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if req.Epoch < a.lastEpoch {
-		a.epochDrops++
-		return a.stateLocked(false), nil
-	}
-	if req.Epoch == a.lastEpoch && req.Seq <= a.lastSeq {
-		a.staleDrops++
+	if !a.lease.Admit(req.Epoch, req.Seq) {
 		return a.stateLocked(false), nil
 	}
 	capW := req.CapW
@@ -251,107 +215,40 @@ func (a *Agent) Assign(req AssignRequest) (AssignResponse, error) {
 		return AssignResponse{}, err
 	}
 	a.capW, a.perfN, a.gridW = capW, perf, grid
-	a.lastEpoch = req.Epoch
-	a.lastSeq = req.Seq
-	a.lastGrantT = req.T
-	a.leaseS = req.LeaseS
-	if req.T > a.localT {
-		a.localT = req.T
-	}
-	a.noteIvLocked(req.Iv, req.IvS)
-	a.grantIv = req.Iv
-	a.leaseIv = req.LeaseIv
-	a.ivS = req.IvS
-	a.fenced = false
-	a.safeMode = false
-	a.assigns++
+	a.lease.Grant(req.Epoch, req.Seq, req.T, LeaseTerms{req.LeaseS, req.Iv, req.LeaseIv, req.IvS})
 	if a.est != nil {
 		a.est.Observe(a.capW, a.perfN)
 	}
 	return a.stateLocked(true), nil
 }
 
-// Renew extends the draw lease without changing the budget. A fenced
-// agent stays fenced and its lease clock stays dead — only a fresh
-// Assign restores a budget (the daemon's ctrlRenew has the same
-// semantics). A delayed or duplicated renewal carrying a T older than
-// the last grant is ignored: moving the lease clock backward would
-// spuriously fence a healthy agent on its next Tick. Only the epoch
-// that granted the in-force budget may renew it — a deposed leader
-// must not keep a budget it no longer owns alive, and a new leader has
-// nothing to renew before its first assign.
+// Renew extends the draw lease without changing the budget (see
+// Lease.Renew, which psd's renewals run through too). A fenced agent
+// stays fenced and its lease clock stays dead — only a fresh Assign
+// restores a budget. A delayed or duplicated renewal carrying a T
+// older than the last grant is ignored: moving the lease clock
+// backward would spuriously fence a healthy agent on its next Tick.
+// Only the epoch that granted the in-force budget may renew it — a
+// deposed leader must not keep a budget it no longer owns alive, and a
+// new leader has nothing to renew before its first assign.
 func (a *Agent) Renew(req LeaseRequest) (LeaseResponse, error) {
 	if req.Server != a.cfg.ID {
 		return LeaseResponse{}, fmt.Errorf("ctrlplane: lease for server %d reached agent %d", req.Server, a.cfg.ID)
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if req.Epoch < a.lastEpoch {
-		a.epochDrops++
-	} else {
-		// Any renewal from the current (or a newer) epoch is a protocol-
-		// clock observation, even when it cannot move the lease: a fenced
-		// or safe-mode agent keeps counting the coordinator's intervals,
-		// which is what ages its decay correctly.
-		if req.T > a.localT {
-			a.localT = req.T
-		}
-		a.noteIvLocked(req.Iv, req.IvS)
-		if req.Epoch == a.lastEpoch && !a.fenced && req.T >= a.lastGrantT {
-			a.lastGrantT = req.T
-			a.leaseS = req.LeaseS
-			a.grantIv = req.Iv
-			a.leaseIv = req.LeaseIv
-			a.ivS = req.IvS
-		}
-	}
-	resp := LeaseResponse{V: ProtocolV, Epoch: a.lastEpoch, Server: a.cfg.ID, CapW: a.capW, Fenced: a.fenced, Iv: a.lastSeenIv}
-	if !a.fenced && a.leaseS > 0 {
-		resp.ExpiresT = a.lastGrantT + a.leaseS
-	}
-	return resp, nil
-}
-
-// noteIvLocked folds one observed coordinator interval into the
-// protocol clock: measure skew against the locally elapsed span, then
-// advance the high-water mark. Zero ivs (clockless peers) are ignored.
-func (a *Agent) noteIvLocked(iv uint64, ivS float64) {
-	if iv == 0 || iv <= a.lastSeenIv {
-		return
-	}
-	if a.lastSeenIv > 0 && ivS > 0 {
-		a.skewIv = (a.localT-a.lastSeenT)/ivS - float64(iv-a.lastSeenIv)
-	}
-	a.lastSeenIv = iv
-	a.lastSeenT = a.localT
-}
-
-// clockModeLocked reports whether the in-force grant carries an
-// interval lease — the protocol clock then replaces seconds-based
-// lease aging entirely.
-func (a *Agent) clockModeLocked() bool { return a.leaseIv > 0 && a.ivS > 0 }
-
-// effectiveIvLocked is the agent's protocol-clock reading: the highest
-// observed interval, advanced by whole nominal intervals of local time
-// elapsed since that observation. While the coordinator mints on
-// schedule the local extrapolation stays at zero; when it stalls, the
-// effective interval keeps counting at ivS — which is exactly what
-// lapses the lease on time without wall-vs-trace ambiguity.
-func (a *Agent) effectiveIvLocked() uint64 {
-	if a.ivS <= 0 {
-		return a.lastSeenIv
-	}
-	dt := a.localT - a.lastSeenT
-	if dt <= 0 {
-		return a.lastSeenIv
-	}
-	return a.lastSeenIv + uint64(dt/a.ivS)
+	// Any renewal from the current (or a newer) epoch is a protocol-
+	// clock observation, even when it cannot move the lease: a fenced or
+	// safe-mode agent keeps counting the coordinator's intervals, which
+	// is what ages its decay correctly.
+	a.lease.Renew(req.Epoch, req.T, LeaseTerms{req.LeaseS, req.Iv, req.LeaseIv, req.IvS})
+	return LeaseResponse{V: ProtocolV, Epoch: a.lease.Epoch(), Server: a.cfg.ID, CapW: a.capW,
+		ExpiresT: a.lease.ExpiresT(), Fenced: a.lease.Lapsed(), Iv: a.lease.Iv()}, nil
 }
 
 // Tick advances the agent's clock to trace time t and fences the server
-// if its draw lease has lapsed. The daemon calls this from its
-// wall-clock loop; the replay harness and handler call it with
-// coordinator time.
+// if its draw lease has lapsed. The replay harness and the scrape path
+// call it with coordinator time.
 func (a *Agent) Tick(t float64) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -359,36 +256,18 @@ func (a *Agent) Tick(t float64) error {
 }
 
 func (a *Agent) tickLocked(t float64) error {
-	if t > a.localT {
-		a.localT = t
-	}
-	if a.safeMode {
+	if a.lease.SafeMode() {
 		// Already degrading leaderless: continue the decay.
 		return a.applySafeCapLocked(t)
 	}
-	if a.fenced {
-		return nil
-	}
-	if a.clockModeLocked() {
-		// Interval lease: lapse once the effective interval reaches the
-		// grant's boundary — seconds play no part.
-		if a.effectiveIvLocked() < a.grantIv+a.leaseIv {
-			return a.learnTickLocked()
-		}
-	} else if a.leaseS <= 0 || t < a.lastGrantT+a.leaseS {
-		return a.learnTickLocked()
+	if !a.lease.Expired(t) {
+		return a.learnTickLocked(t)
 	}
 	if a.cfg.SafeMode.Enabled() {
 		// Lease lapsed with safe mode on: hold the last granted cap
 		// (fleet sum still bounded by the last cluster cap a leader
-		// apportioned) and start the decay clock at the expiry instant,
-		// not at whenever the next tick happened to land.
-		a.safeMode = true
-		a.fenced = true
-		a.fences++
-		a.safeEntries++
-		a.heldW = a.capW
-		a.expireT = a.lastGrantT + a.leaseS
+		// apportioned).
+		a.lease.EnterSafeMode(a.capW)
 		return a.applySafeCapLocked(t)
 	}
 	perf, grid, err := a.cfg.Backend.Apply(a.cfg.FenceCapW)
@@ -396,8 +275,7 @@ func (a *Agent) tickLocked(t float64) error {
 		return fmt.Errorf("ctrlplane: agent %d fence: %w", a.cfg.ID, err)
 	}
 	a.capW, a.perfN, a.gridW = a.cfg.FenceCapW, perf, grid
-	a.fenced = true
-	a.fences++
+	a.lease.Lapse()
 	return nil
 }
 
@@ -409,13 +287,13 @@ func (a *Agent) tickLocked(t float64) error {
 // full grant, so learning agents settle back onto their grants. In
 // clockless (seconds-lease) deployments the interval counter never
 // advances, so probes move only on fresh assigns.
-func (a *Agent) learnTickLocked() error {
-	if a.est == nil || a.fenced {
+func (a *Agent) learnTickLocked(t float64) error {
+	if a.est == nil || !a.lease.Live() {
 		return nil
 	}
 	a.est.Observe(a.capW, a.perfN)
 	target := a.capW
-	if iv := a.effectiveIvLocked(); iv > a.lastProbeIv {
+	if iv := a.lease.EffectiveIv(t); iv > a.lastProbeIv {
 		a.lastProbeIv = iv
 		target = a.est.ProbeCap(a.grantW)
 	}
@@ -430,23 +308,9 @@ func (a *Agent) learnTickLocked() error {
 	return nil
 }
 
-// applySafeCapLocked enforces the safe-mode cap for trace time t. In
-// clock mode the decay ages by whole protocol intervals past the lapse
-// boundary — an integer count times the nominal interval length — so a
-// trace-replay fleet and a wall-clock fleet walking the same interval
-// sequence enforce bit-identical caps.
+// applySafeCapLocked enforces the safe-mode cap for trace time t.
 func (a *Agent) applySafeCapLocked(t float64) error {
-	var target float64
-	if a.clockModeLocked() {
-		boundary := a.grantIv + a.leaseIv
-		var over uint64
-		if eff := a.effectiveIvLocked(); eff > boundary {
-			over = eff - boundary
-		}
-		target = a.cfg.SafeMode.CapAt(float64(over)*a.ivS, 0, a.heldW)
-	} else {
-		target = a.cfg.SafeMode.CapAt(t, a.expireT, a.heldW)
-	}
+	target := a.lease.SafeCap(a.cfg.SafeMode, t)
 	if target == a.capW {
 		return nil
 	}
@@ -508,19 +372,19 @@ func (a *Agent) reportLocked() Report {
 	return Report{
 		V:        ProtocolV,
 		Server:   a.cfg.ID,
-		Epoch:    a.lastEpoch,
-		Seq:      a.lastSeq,
+		Epoch:    a.lease.Epoch(),
+		Seq:      a.lease.Seq(),
 		CapW:     a.capW,
 		PerfN:    a.perfN,
 		GridW:    a.gridW,
 		SoC:      a.cfg.Backend.SoC(),
-		Fenced:   a.fenced,
-		SafeMode: a.safeMode,
+		Fenced:   a.lease.Lapsed(),
+		SafeMode: a.lease.SafeMode(),
 
 		IdleFloorW: a.cfg.Backend.IdleFloorW(),
 		NameplateW: a.cfg.Backend.NameplateW(),
 		Version:    a.cfg.Version,
-		Iv:         a.lastSeenIv,
+		Iv:         a.lease.Iv(),
 	}
 }
 
@@ -540,10 +404,10 @@ func (a *Agent) Scrape(t float64, hasT bool) (Report, error) {
 // stateLocked builds an AssignResponse from the current state.
 func (a *Agent) stateLocked(applied bool) AssignResponse {
 	return AssignResponse{
-		V: ProtocolV, Server: a.cfg.ID, Epoch: a.lastEpoch, Seq: a.lastSeq, Applied: applied,
+		V: ProtocolV, Server: a.cfg.ID, Epoch: a.lease.Epoch(), Seq: a.lease.Seq(), Applied: applied,
 		CapW: a.capW, PerfN: a.perfN, GridW: a.gridW,
-		SoC: a.cfg.Backend.SoC(), Fenced: a.fenced, SafeMode: a.safeMode,
-		Iv: a.lastSeenIv,
+		SoC: a.cfg.Backend.SoC(), Fenced: a.lease.Lapsed(), SafeMode: a.lease.SafeMode(),
+		Iv: a.lease.Iv(),
 	}
 }
 
@@ -573,7 +437,7 @@ func (a *Agent) PerfN() float64 {
 func (a *Agent) Fenced() bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.fenced
+	return a.lease.Lapsed()
 }
 
 // SafeMode reports whether the agent is degrading leaderless — fenced,
@@ -581,7 +445,7 @@ func (a *Agent) Fenced() bool {
 func (a *Agent) SafeMode() bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.safeMode
+	return a.lease.SafeMode()
 }
 
 // SafeModeEntries counts lease lapses that entered safe-mode
@@ -589,7 +453,7 @@ func (a *Agent) SafeMode() bool {
 func (a *Agent) SafeModeEntries() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.safeEntries
+	return a.lease.SafeEntries()
 }
 
 // Assigns counts applied budget grants — renewals excluded, so a
@@ -597,14 +461,14 @@ func (a *Agent) SafeModeEntries() int {
 func (a *Agent) Assigns() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.assigns
+	return a.lease.Grants()
 }
 
 // Fences counts lease lapses that forced the fail-safe cap.
 func (a *Agent) Fences() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.fences
+	return a.lease.Lapses()
 }
 
 // StaleDrops counts stale or duplicated assigns refused by sequence
@@ -612,7 +476,7 @@ func (a *Agent) Fences() int {
 func (a *Agent) StaleDrops() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.staleDrops
+	return a.lease.StaleDrops()
 }
 
 // EpochDrops counts grants and renewals refused for carrying an epoch
@@ -620,7 +484,7 @@ func (a *Agent) StaleDrops() int {
 func (a *Agent) EpochDrops() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.epochDrops
+	return a.lease.EpochDrops()
 }
 
 // LastEpoch is the highest coordinator epoch the agent has applied a
@@ -628,7 +492,7 @@ func (a *Agent) EpochDrops() int {
 func (a *Agent) LastEpoch() uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.lastEpoch
+	return a.lease.Epoch()
 }
 
 // LastIv is the highest protocol-clock interval the agent has observed
@@ -636,7 +500,7 @@ func (a *Agent) LastEpoch() uint64 {
 func (a *Agent) LastIv() uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.lastSeenIv
+	return a.lease.Iv()
 }
 
 // Learning reports whether the agent characterizes its utility curve
@@ -669,5 +533,5 @@ func (a *Agent) LearnConfidence() float64 {
 func (a *Agent) ClockSkewIv() float64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.skewIv
+	return a.lease.SkewIv()
 }

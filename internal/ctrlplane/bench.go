@@ -82,7 +82,7 @@ func StartBenchFleet(n int, kind TransportKind) (*BenchFleet, error) {
 	mux := http.NewServeMux()
 	for i, a := range f.Agents {
 		prefix := "/a/" + strconv.Itoa(i)
-		mux.Handle(prefix+"/", http.StripPrefix(prefix, NewHandler(a)))
+		mux.Handle(prefix+"/", http.StripPrefix(prefix, NewHandler(a.ID(), a)))
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -225,7 +225,7 @@ func TestJSONFanOutReusesConns(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl := &countingListener{Listener: ln}
-	srv := &http.Server{Handler: NewHandler(a), ReadHeaderTimeout: 5 * time.Second}
+	srv := &http.Server{Handler: NewHandler(a.ID(), a), ReadHeaderTimeout: 5 * time.Second}
 	go func() { _ = srv.Serve(cl) }()
 	defer srv.Close()
 

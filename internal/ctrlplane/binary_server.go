@@ -9,9 +9,10 @@ import (
 )
 
 // CtrlEndpoint is the server-side surface one agent exposes to the
-// binary transport — implemented by *Agent for replay fleets and by
-// the daemon's control adapter for live servers. Methods mirror the
-// three agent RPCs; all must be safe for concurrent use.
+// binary transport and to NewHandler's HTTP routes — implemented by
+// *Agent for replay fleets and by the daemon's control adapter for
+// live servers. Methods mirror the three agent RPCs; all must be safe
+// for concurrent use.
 type CtrlEndpoint interface {
 	Assign(req AssignRequest) (AssignResponse, error)
 	Renew(req LeaseRequest) (LeaseResponse, error)

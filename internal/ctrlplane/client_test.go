@@ -130,7 +130,7 @@ func TestHandlerRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewHandler(a))
+	srv := httptest.NewServer(NewHandler(a.ID(), a))
 	defer srv.Close()
 
 	post := func(path, body string) int {

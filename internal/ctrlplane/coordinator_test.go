@@ -34,7 +34,7 @@ func startBackendFleet(t *testing.T, backends []Backend) []AgentRef {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := httptest.NewServer(NewHandler(a))
+		srv := httptest.NewServer(NewHandler(a.ID(), a))
 		t.Cleanup(srv.Close)
 		refs[i] = AgentRef{ID: i, URL: srv.URL}
 	}
@@ -173,7 +173,7 @@ func TestRenewalOfFencedAgentFallsThroughToAssign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewHandler(a))
+	srv := httptest.NewServer(NewHandler(a.ID(), a))
 	defer srv.Close()
 	coord, err := New(Config{
 		Agents:    []AgentRef{{ID: 0, URL: srv.URL}},

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -151,8 +150,7 @@ type GlobalStepResult struct {
 	T    float64
 	CapW float64
 	// Epoch is the global leadership epoch grants fanned out under.
-	Epoch   uint64
-	Leading bool
+	Epoch uint64
 	// Deposed reports a ShardBudgetResponse carried a global epoch
 	// above this apportioner's — another global leads.
 	Deposed bool
@@ -207,10 +205,9 @@ type Global struct {
 	epoch     atomic.Uint64
 	seenEpoch atomic.Uint64
 
-	// iv is the global protocol-clock interval counter, monotonic
-	// across elections: SetEpoch clears the granted ledger but never
-	// rewinds iv, which is what keeps interval numbers unique for the
-	// apportioner's lifetime.
+	// iv is the global protocol-clock interval counter, monotonic for
+	// the apportioner's lifetime, which is what keeps interval numbers
+	// unique.
 	iv atomic.Uint64
 	// rehydrated gates granting in clock mode: a restarted apportioner
 	// refuses to mint intervals until a majority of shard scrapes have
@@ -283,21 +280,8 @@ func (g *Global) Epoch() uint64 { return g.epoch.Load() }
 // budget response.
 func (g *Global) PeakEpoch() uint64 { return g.seenEpoch.Load() }
 
-// Iv returns the global protocol-clock interval counter — monotonic
-// across elections; SetEpoch does not reset it.
+// Iv returns the global protocol-clock interval counter (monotonic).
 func (g *Global) Iv() uint64 { return g.iv.Load() }
-
-// SetEpoch moves the apportioner to a new global epoch, invalidating
-// the granted ledger so the next step grants every shard afresh. Call
-// between steps only.
-func (g *Global) SetEpoch(e uint64) {
-	if g.epoch.Swap(e) == e {
-		return
-	}
-	for _, s := range g.shards {
-		s.grantedW, s.granted = 0, false
-	}
-}
 
 func (g *Global) noteEpoch(e uint64) {
 	for {
@@ -316,19 +300,6 @@ func (g *Global) FaultEvents() []faults.Event { return g.flog.Events() }
 
 // Close releases pooled trunk connections.
 func (g *Global) Close() { g.client.close() }
-
-// Step drives one global interval at trace time t under cluster cap
-// capW.
-func (g *Global) Step(ctx context.Context, t, capW float64) (GlobalStepResult, error) {
-	return g.step(ctx, t, capW, true)
-}
-
-// Observe runs one global interval without granting: scrape the
-// shards and compute what this apportioner would grant — the standby's
-// warm-takeover path, mirroring Coordinator.Observe.
-func (g *Global) Observe(ctx context.Context, t, capW float64) (GlobalStepResult, error) {
-	return g.step(ctx, t, capW, false)
-}
 
 // scrapeShard walks one shard's trunk URLs from its last-good index
 // until a leading coordinator answers.
@@ -358,14 +329,16 @@ func (g *Global) scrapeShard(ctx context.Context, s *globalShard, t float64) (Sh
 	return ShardReport{}, s.urlIdx, lastErr
 }
 
-func (g *Global) step(ctx context.Context, t, capW float64, lead bool) (GlobalStepResult, error) {
+// Step drives one global interval at trace time t under cluster cap
+// capW.
+func (g *Global) Step(ctx context.Context, t, capW float64) (GlobalStepResult, error) {
 	if !finite(t) || !finite(capW) || capW < 0 {
 		return GlobalStepResult{}, fmt.Errorf("ctrlplane: global step t=%g cap=%g", t, capW)
 	}
 	epoch := g.epoch.Load()
 	n := len(g.shards)
 	res := GlobalStepResult{
-		T: t, CapW: capW, Epoch: epoch, Leading: lead,
+		T: t, CapW: capW, Epoch: epoch,
 		Budgets: make([]float64, n),
 		Granted: make([]bool, n),
 		Alive:   make([]bool, n),
@@ -556,13 +529,7 @@ func (g *Global) step(ctx context.Context, t, capW float64, lead bool) (GlobalSt
 		}
 	}
 
-	// Phase 4 — fan the grants out (leader only).
-	if !lead {
-		res.Deposed = g.seenEpoch.Load() > epoch
-		g.stats.Observes++
-		g.tel.noteGlobalStep(res)
-		return res, nil
-	}
+	// Phase 4 — fan the grants out.
 	if !g.rehydrated {
 		// A leading clock-mode apportioner that has not recovered its
 		// interval counter from a shard majority must not mint: a lower
@@ -644,97 +611,4 @@ func (g *Global) GrantedShardW(i int) float64 {
 		return 0
 	}
 	return g.shards[i].grantedW
-}
-
-// GlobalHAConfig parameterizes a global apportioner's leader election
-// — the subset of HAConfig the apex tier needs.
-type GlobalHAConfig struct {
-	ID       string
-	Election Election
-	TermTTL  time.Duration
-	Clock    func() time.Time
-}
-
-// GlobalHA runs a global apportioner as a member of a leader-elected
-// pair: campaign each interval on the shared store, lead under the
-// term's epoch or observe to stay warm. The same two safety nets as
-// the shard tier apply — elections order takeovers, epoch fencing at
-// the shards makes even a deposed-but-unaware global harmless.
-type GlobalHA struct {
-	g   *Global
-	cfg GlobalHAConfig
-
-	mu        sync.Mutex
-	leader    bool
-	term      Term
-	failovers int
-}
-
-// NewGlobalHA wraps a global apportioner with leader election.
-func NewGlobalHA(g *Global, cfg GlobalHAConfig) (*GlobalHA, error) {
-	if g == nil {
-		return nil, fmt.Errorf("ctrlplane: global HA needs an apportioner")
-	}
-	if cfg.Election == nil {
-		return nil, fmt.Errorf("ctrlplane: global HA needs an election store")
-	}
-	if cfg.ID == "" {
-		return nil, fmt.Errorf("ctrlplane: global HA needs a candidate id")
-	}
-	if cfg.TermTTL <= 0 {
-		return nil, fmt.Errorf("ctrlplane: global HA term ttl %v", cfg.TermTTL)
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = time.Now
-	}
-	return &GlobalHA{g: g, cfg: cfg}, nil
-}
-
-// Global returns the wrapped apportioner.
-func (h *GlobalHA) Global() *Global { return h.g }
-
-// Step campaigns, then leads or observes one global interval.
-func (h *GlobalHA) Step(ctx context.Context, t, capW float64) (GlobalStepResult, error) {
-	term, err := h.cfg.Election.Campaign(h.cfg.ID, h.cfg.Clock(), h.cfg.TermTTL)
-	if err != nil {
-		// Same stance as HA.Step: an unreachable store proves nothing,
-		// so only observe; shard budget leases lapse on their own.
-		h.mu.Lock()
-		h.leader = false
-		h.mu.Unlock()
-		return h.g.Observe(ctx, t, capW)
-	}
-	lead := term.Leader == h.cfg.ID
-	h.mu.Lock()
-	if lead && term.Epoch > h.term.Epoch && term.Epoch > 1 {
-		h.failovers++
-	}
-	h.leader, h.term = lead, term
-	h.mu.Unlock()
-	if !lead {
-		return h.g.Observe(ctx, t, capW)
-	}
-	h.g.SetEpoch(term.Epoch)
-	res, err := h.g.Step(ctx, t, capW)
-	if err == nil && res.Deposed {
-		h.mu.Lock()
-		h.leader = false
-		h.mu.Unlock()
-	}
-	return res, err
-}
-
-// Leader reports the last campaign's term and whether this node leads.
-func (h *GlobalHA) Leader() (Term, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.term, h.leader
-}
-
-// Failovers counts leadership acquisitions past the bootstrap
-// election.
-func (h *GlobalHA) Failovers() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.failovers
 }

@@ -7,10 +7,11 @@ import (
 	"strconv"
 )
 
-// NewHandler serves an agent's /ctrl/* endpoints. The handler is
+// NewHandler serves the /ctrl/* endpoints of grantee id over its
+// CtrlEndpoint (an *Agent, or psd's daemon adapter). The handler is
 // self-contained so it can be mounted beside a daemon's existing API or
 // served alone by the replay harness.
-func NewHandler(a *Agent) http.Handler {
+func NewHandler(id int, ep CtrlEndpoint) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc(PathAssign, func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -27,11 +28,11 @@ func NewHandler(a *Agent) http.Handler {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		if req.Server != a.ID() {
-			http.Error(w, fmt.Sprintf("assign for server %d reached agent %d", req.Server, a.ID()), http.StatusBadRequest)
+		if req.Server != id {
+			http.Error(w, fmt.Sprintf("assign for server %d reached agent %d", req.Server, id), http.StatusBadRequest)
 			return
 		}
-		resp, err := a.Assign(req)
+		resp, err := ep.Assign(req)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
@@ -56,7 +57,7 @@ func NewHandler(a *Agent) http.Handler {
 			}
 			hasT = true
 		}
-		rep, err := a.Scrape(t, hasT)
+		rep, err := ep.Scrape(t, hasT)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
@@ -78,11 +79,11 @@ func NewHandler(a *Agent) http.Handler {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		if req.Server != a.ID() {
-			http.Error(w, fmt.Sprintf("lease for server %d reached agent %d", req.Server, a.ID()), http.StatusBadRequest)
+		if req.Server != id {
+			http.Error(w, fmt.Sprintf("lease for server %d reached agent %d", req.Server, id), http.StatusBadRequest)
 			return
 		}
-		resp, err := a.Renew(req)
+		resp, err := ep.Renew(req)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return

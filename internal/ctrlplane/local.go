@@ -111,7 +111,7 @@ func StartSimFleetOpts(ev *cluster.Evaluator, opts FleetOptions) (*SimFleet, err
 			return nil, err
 		}
 		srv := &http.Server{
-			Handler:           NewHandler(a),
+			Handler:           NewHandler(a.ID(), a),
 			ReadHeaderTimeout: 5 * time.Second,
 		}
 		go func() { _ = srv.Serve(ln) }()

@@ -40,10 +40,10 @@ const saturationFrac = 0.98
 // Coordinator (optionally behind its HA pair) drives the shard's fleet
 // slice with the full flat protocol — scrape, membership, apportion,
 // epoch-fenced grants, breakers — while this layer holds the budget
-// the tier above granted, fences ShardBudget grants by the global
-// (Epoch, Seq) pair exactly as agents fence assignments, and rolls the
-// members' cap-utility curves up into the ShardReport the global DP
-// apportions against.
+// the tier above granted, fences ShardBudget grants in the same Lease
+// ledger agents fence assignments in (holding the global epoch, on the
+// global's trace clock), and rolls the members' cap-utility curves up
+// into the ShardReport the global DP apportions against.
 //
 // Step must run on a single control loop, like Coordinator.Step;
 // Report and ApplyBudget are safe to call concurrently from server
@@ -54,32 +54,14 @@ type ShardCoordinator struct {
 	ha  *HA
 
 	mu sync.Mutex
-	// budgetW is the shard budget in force; budgetExpiry is the trace
-	// time it lapses (0: non-lapsing). Past expiry the shard holds the
-	// budget — never grows it — and reports itself starved; this is
-	// cap-safe because the silent global has reserved the shard's last
-	// grant until its reclaim window passes.
-	budgetW      float64
-	budgetExpiry float64
-	starved      bool
-	// lastEpoch/lastSeq fence budget grants: the shard's mirror of
-	// Agent.Assign's (epoch, seq) ledger, holding the GLOBAL epoch.
-	lastEpoch uint64
-	lastSeq   uint64
-	// Global protocol-clock state, the shard's mirror of the agent's:
-	// gGrantIv/gLeaseIv/gIvS are the in-force budget grant's clock
-	// triple (the budget starves once the effective global interval
-	// reaches gGrantIv+gLeaseIv); lastGIv/lastGIvT track the highest
-	// global interval observed from any trunk scrape or grant, anchored
-	// on the shard clock so the effective interval keeps counting when
-	// the global stalls.
-	gGrantIv uint64
-	gLeaseIv uint64
-	gIvS     float64
-	lastGIv  uint64
-	lastGIvT float64
-	stepped  bool
-	report   ShardReport
+	// budgetW is the shard budget in force. When its lease lapses the
+	// shard holds the budget — never grows it — and reports itself
+	// starved; this is cap-safe because the silent global has reserved
+	// the shard's last grant until its reclaim window passes.
+	budgetW float64
+	lease   Lease
+	stepped bool
+	report  ShardReport
 }
 
 // NewShardCoordinator wraps a coordinator as one shard of the tree.
@@ -126,7 +108,7 @@ func (s *ShardCoordinator) BudgetW() float64 {
 func (s *ShardCoordinator) Starved() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.starved
+	return s.lease.Lapsed()
 }
 
 // Step drives one shard control interval at trace time t: run the
@@ -134,21 +116,10 @@ func (s *ShardCoordinator) Starved() bool {
 // refresh the trunk report snapshot from the post-step member state.
 func (s *ShardCoordinator) Step(ctx context.Context, t float64) (StepResult, error) {
 	s.mu.Lock()
-	if s.gLeaseIv > 0 && s.gIvS > 0 {
-		// Interval budget lease: starve once the effective global
-		// interval — last observed, aged by the shard clock at the
-		// nominal interval length — reaches the grant's boundary.
-		eff := s.lastGIv
-		if dt := t - s.lastGIvT; dt > 0 {
-			eff += uint64(dt / s.gIvS)
-		}
-		if eff >= s.gGrantIv+s.gLeaseIv && !s.starved {
-			s.starved = true
-		}
-	} else if s.budgetExpiry > 0 && t > s.budgetExpiry && !s.starved {
+	if s.lease.Expired(t) {
 		// The budget lease lapsed without a fresh grant: hold the last
 		// budget (never grow it) and say so in the next report.
-		s.starved = true
+		s.lease.Lapse()
 	}
 	budget := s.budgetW
 	s.mu.Unlock()
@@ -247,22 +218,13 @@ func (s *ShardCoordinator) refreshReport(t, budget float64) {
 		rep.Curve = s.c.dp.Rollup(floor, curves, s.cfg.rollupPoints())
 	}
 	s.mu.Lock()
-	rep.Starved = s.starved
-	rep.GEpoch = s.lastEpoch
-	rep.GSeq = s.lastSeq
-	rep.GIv = s.lastGIv
+	rep.Starved = s.lease.Lapsed()
+	rep.GEpoch = s.lease.Epoch()
+	rep.GSeq = s.lease.Seq()
+	rep.GIv = s.lease.Iv()
 	s.report = rep
 	s.stepped = true
 	s.mu.Unlock()
-}
-
-// noteGIvLocked folds one observed global interval into the shard's
-// protocol clock, anchored at shard time t.
-func (s *ShardCoordinator) noteGIvLocked(iv uint64, t float64) {
-	if iv > s.lastGIv {
-		s.lastGIv = iv
-		s.lastGIvT = t
-	}
 }
 
 // Report answers the global apportioner's trunk scrape with the last
@@ -279,22 +241,23 @@ func (s *ShardCoordinator) Report(req ShardReportRequest) (ShardReport, error) {
 	defer s.mu.Unlock()
 	// The trunk scrape broadcasts the global clock even when the grant
 	// deadband skips a re-grant, so the shard keeps counting intervals.
-	if req.Iv > 0 && req.HasT {
-		s.noteGIvLocked(req.Iv, req.T)
+	if req.HasT {
+		s.lease.observe(req.T, req.Iv, 0)
 	}
 	if !s.stepped {
 		return ShardReport{}, fmt.Errorf("ctrlplane: shard %d has not completed a control interval yet", s.cfg.Shard)
 	}
 	rep := s.report
-	rep.GIv = s.lastGIv
+	rep.GIv = s.lease.Iv()
 	return rep, nil
 }
 
-// ApplyBudget applies (or fences) one ShardBudget grant — the shard's
-// mirror of Agent.Assign. A grant older than the newest applied
-// (global epoch, seq) pair is refused with the ledger echoed, so a
-// deposed global apportioner recognizes itself and a retransmitted
-// duplicate of the in-force grant is acknowledged as granted.
+// ApplyBudget applies (or fences) one ShardBudget grant through the
+// shard's Lease, as Agent.Assign does an assignment. A grant older than
+// the newest applied (global epoch, seq) pair is refused with the
+// ledger echoed, so a deposed global apportioner recognizes itself and
+// a retransmitted duplicate of the in-force grant is acknowledged as
+// granted.
 func (s *ShardCoordinator) ApplyBudget(req ShardBudgetRequest) (ShardBudgetResponse, error) {
 	if err := req.Validate(); err != nil {
 		return ShardBudgetResponse{}, err
@@ -304,22 +267,13 @@ func (s *ShardCoordinator) ApplyBudget(req ShardBudgetRequest) (ShardBudgetRespo
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	resp := ShardBudgetResponse{V: ProtocolV, Shard: s.cfg.Shard}
-	if req.Epoch < s.lastEpoch || (req.Epoch == s.lastEpoch && req.Seq <= s.lastSeq) {
-		resp.Epoch, resp.Seq, resp.CapW, resp.Iv = s.lastEpoch, s.lastSeq, s.budgetW, s.lastGIv
-		return resp, nil
+	applied := s.lease.Admit(req.Epoch, req.Seq)
+	if applied {
+		s.budgetW = req.CapW
+		s.lease.Grant(req.Epoch, req.Seq, req.T, LeaseTerms{req.LeaseS, req.Iv, req.LeaseIv, req.IvS})
 	}
-	s.lastEpoch, s.lastSeq = req.Epoch, req.Seq
-	s.budgetW = req.CapW
-	s.budgetExpiry = 0
-	if req.LeaseS > 0 {
-		s.budgetExpiry = req.T + req.LeaseS
-	}
-	s.noteGIvLocked(req.Iv, req.T)
-	s.gGrantIv, s.gLeaseIv, s.gIvS = req.Iv, req.LeaseIv, req.IvS
-	s.starved = false
-	resp.Epoch, resp.Seq, resp.Applied, resp.CapW, resp.Iv = req.Epoch, req.Seq, true, req.CapW, s.lastGIv
-	return resp, nil
+	return ShardBudgetResponse{V: ProtocolV, Shard: s.cfg.Shard, Epoch: s.lease.Epoch(), Seq: s.lease.Seq(),
+		Applied: applied, CapW: s.budgetW, Iv: s.lease.Iv()}, nil
 }
 
 // ShardBinaryConfig merges the shard's trunk surface into a binary

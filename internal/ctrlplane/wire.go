@@ -301,8 +301,9 @@ type LeaseResponse struct {
 	Epoch  uint64  `json:"epoch"`
 	Server int     `json:"server"`
 	CapW   float64 `json:"capW"`
-	// ExpiresT is the trace time the renewed lease lapses (0 when the
-	// lease never lapses).
+	// ExpiresT is the instant the renewed lease lapses on the grantee's
+	// lease clock — trace time for a replay agent, seconds since
+	// EnableCtrl for psd (0 when fenced or the lease never lapses).
 	ExpiresT float64 `json:"expiresT"`
 	Fenced   bool    `json:"fenced"`
 	// Iv is the highest protocol-clock interval the agent has observed

@@ -3,7 +3,6 @@ package daemon
 import (
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -15,9 +14,10 @@ import (
 // serves /ctrl/assign, /ctrl/report, and /ctrl/lease, and fences its
 // cap when a granted draw lease lapses without renewal.
 //
-// The daemon runs in wall-clock time, so unlike the replay agent its
-// lease TTL is measured against time.Now at each ticker advance, not
-// against the coordinator's trace clock. A live daemon's mix churns as
+// The daemon keeps the same ctrlplane.Lease ledger as the replay
+// agent, but on its own clock: leases are anchored and aged in Clock
+// seconds since EnableCtrl at each ticker advance, not in the
+// coordinator's trace time. A live daemon's mix churns as
 // jobs arrive and finish, so it cannot pre-characterize cap → utility
 // the way the replay evaluator can; by default it reports no utility
 // curve and the coordinator apportions evenly for curveless members.
@@ -65,40 +65,18 @@ type CtrlConfig struct {
 // would flood the cap-change history without changing behavior.
 const safeModeQuantumW = 0.5
 
-// ctrlState is the daemon's lease ledger, guarded by its own mutex so
-// the /ctrl handlers never contend with the simulation advance for
-// longer than a field read.
+// ctrlState is the daemon's side of the control plane, guarded by its
+// own mutex (taken after d.mu when both are held). The fence, lease and
+// protocol clock live in lease, on a lease clock of cfg.Clock seconds
+// since EnableCtrl.
 type ctrlState struct {
-	mu         sync.Mutex
-	cfg        CtrlConfig
-	fenceCapW  float64
-	lastEpoch  uint64
-	lastSeq    uint64
-	leaseS     float64
-	leaseStart time.Time
-	leased     bool
-	fenced     bool
-	fences     int
-	staleDrops int
-	epochDrops int
-	// Safe-mode ledger: heldW is the cap in force at lease lapse,
-	// lapsedAt the wall-clock lapse instant, safeCapW the last decay
-	// target actually clamped.
-	safeMode    bool
-	safeEntries int
-	heldW       float64
-	lapsedAt    time.Time
-	safeCapW    float64
-	// Protocol-clock mirror of ctrlplane.Agent: the grant's interval
-	// stamp and interval lease, the highest interval observed with the
-	// wall instant it arrived, and the skew between the coordinator's
-	// interval cadence and this daemon's clock.
-	grantIv    uint64
-	leaseIv    uint64
-	ivS        float64
-	lastSeenIv uint64
-	lastSeenAt time.Time
-	skewIv     float64
+	mu        sync.Mutex
+	cfg       CtrlConfig
+	fenceCapW float64
+	origin    time.Time
+	lease     ctrlplane.Lease
+	// safeCapW is the safe-mode decay target last clamped.
+	safeCapW float64
 	// Online-learning state (cfg.Learn): est learns the cap→rate curve,
 	// grantW remembers the full grant so a probing daemon can restore
 	// it, and lastProbeIv rate-limits probe moves to one per coordinator
@@ -108,35 +86,8 @@ type ctrlState struct {
 	lastProbeIv uint64
 }
 
-func (c *ctrlState) clockModeLocked() bool { return c.leaseIv > 0 && c.ivS > 0 }
-
-// noteIvLocked records a higher observed coordinator interval and the
-// skew of the local clock against the coordinator's cadence.
-func (c *ctrlState) noteIvLocked(iv uint64, ivS float64) {
-	if iv == 0 || iv <= c.lastSeenIv {
-		return
-	}
-	now := c.cfg.Clock()
-	if c.lastSeenIv > 0 && ivS > 0 {
-		c.skewIv = now.Sub(c.lastSeenAt).Seconds()/ivS - float64(iv-c.lastSeenIv)
-	}
-	c.lastSeenIv = iv
-	c.lastSeenAt = now
-}
-
-// effectiveIvLocked extrapolates the coordinator's interval counter
-// from the last observed value at the nominal interval length — a
-// stalled coordinator's leases keep aging at the rate it advertised.
-func (c *ctrlState) effectiveIvLocked() uint64 {
-	if c.ivS <= 0 {
-		return c.lastSeenIv
-	}
-	dt := c.cfg.Clock().Sub(c.lastSeenAt).Seconds()
-	if dt <= 0 {
-		return c.lastSeenIv
-	}
-	return c.lastSeenIv + uint64(dt/c.ivS)
-}
+// nowLocked reads the lease clock.
+func (c *ctrlState) nowLocked() float64 { return c.cfg.Clock().Sub(c.origin).Seconds() }
 
 // EnableCtrl attaches control-plane state to the daemon. Call before
 // Handler; the daemon boots unfenced at its configured cap and only
@@ -158,7 +109,7 @@ func (d *Daemon) EnableCtrl(cfg CtrlConfig) error {
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
-	st := &ctrlState{cfg: cfg, fenceCapW: fence}
+	st := &ctrlState{cfg: cfg, fenceCapW: fence, origin: cfg.Clock()}
 	if cfg.Learn != nil {
 		lc := *cfg.Learn
 		if lc.FloorW == 0 {
@@ -186,68 +137,44 @@ func (d *Daemon) ctrlFenceCheck() error {
 		return nil
 	}
 	c.mu.Lock()
-	if c.safeMode {
-		if c.clockModeLocked() {
-			// Protocol-clock decay: age by whole coordinator intervals
-			// past the lease boundary. The targets move in interval-sized
-			// steps already, so every change is worth clamping — no
-			// wall-quantum batching, and the step sequence is
-			// bit-identical with a replay agent decaying the same lease.
-			boundary := c.grantIv + c.leaseIv
-			var over uint64
-			if eff := c.effectiveIvLocked(); eff > boundary {
-				over = eff - boundary
-			}
-			target := c.cfg.SafeMode.CapAt(float64(over)*c.ivS, 0, c.heldW)
-			if c.safeCapW != target {
-				c.safeCapW = target
-				c.mu.Unlock()
-				return d.sim.AddCapChange(d.simTime, target)
-			}
-			c.mu.Unlock()
+	l := &c.lease
+	now := c.nowLocked()
+	if l.SafeMode() {
+		// Leaderless degradation in progress. Protocol-clock targets
+		// move in interval-sized steps already, so every change is
+		// clamped and the step sequence is bit-identical with a replay
+		// agent decaying the same lease; wall-clock decay re-clamps only
+		// in quantum-sized steps.
+		target := l.SafeCap(c.cfg.SafeMode, now)
+		apply := c.safeCapW != target
+		if !l.ClockMode() {
+			apply = c.safeCapW-target >= safeModeQuantumW ||
+				(target <= c.cfg.SafeMode.FloorW && c.safeCapW != target)
+		}
+		if apply {
+			c.safeCapW = target
+		}
+		c.mu.Unlock()
+		if !apply {
 			return nil
 		}
-		// Leaderless degradation in progress: walk the cap down on the
-		// wall clock, re-clamping only in quantum-sized steps.
-		target := c.cfg.SafeMode.CapAt(c.cfg.Clock().Sub(c.lapsedAt).Seconds(), 0, c.heldW)
-		if c.safeCapW-target >= safeModeQuantumW ||
-			(target <= c.cfg.SafeMode.FloorW && c.safeCapW != target) {
-			c.safeCapW = target
-			c.mu.Unlock()
-			return d.sim.AddCapChange(d.simTime, target)
-		}
+		return d.setCapLocked(target)
+	}
+	if !l.Expired(now) {
 		c.mu.Unlock()
 		return nil
 	}
-	var lapse bool
-	if c.clockModeLocked() {
-		lapse = c.leased && !c.fenced && c.effectiveIvLocked() >= c.grantIv+c.leaseIv
-	} else {
-		lapse = c.leased && !c.fenced && c.leaseS > 0 &&
-			c.cfg.Clock().Sub(c.leaseStart).Seconds() >= c.leaseS
-	}
-	if !lapse {
-		c.mu.Unlock()
-		return nil
-	}
-	c.fenced = true
-	c.fences++
 	if c.cfg.SafeMode.Enabled() {
-		// Enter safe mode holding the cap in force — it is the last cap
-		// a leader granted, so the fleet-wide sum of held caps stays
-		// bounded by that leader's cluster cap. The decay clock starts
-		// at the lapse instant, not at this ticker advance.
-		c.safeMode = true
-		c.safeEntries++
-		c.lapsedAt = c.leaseStart.Add(time.Duration(c.leaseS * float64(time.Second)))
-		c.heldW = d.sim.Executor().Cap()
-		c.safeCapW = c.heldW
+		// Enter safe mode holding the cap in force.
+		c.safeCapW = d.sim.Executor().Cap()
+		l.EnterSafeMode(c.safeCapW)
 		c.mu.Unlock()
 		return nil
 	}
+	l.Lapse()
 	fence := c.fenceCapW
 	c.mu.Unlock()
-	return d.sim.AddCapChange(d.simTime, fence)
+	return d.setCapLocked(fence)
 }
 
 // ctrlLearnStep feeds the online estimator one (enforced cap, observed
@@ -263,7 +190,7 @@ func (d *Daemon) ctrlLearnStep() error {
 		return nil
 	}
 	c.mu.Lock()
-	if c.fenced || c.safeMode || !c.leased {
+	if !c.lease.Live() {
 		c.mu.Unlock()
 		return nil
 	}
@@ -276,7 +203,7 @@ func (d *Daemon) ctrlLearnStep() error {
 	}
 	c.est.Observe(capW, rate)
 	target := capW
-	if iv := c.effectiveIvLocked(); iv > c.lastProbeIv {
+	if iv := c.lease.EffectiveIv(c.nowLocked()); iv > c.lastProbeIv {
 		c.lastProbeIv = iv
 		target = c.est.ProbeCap(c.grantW)
 	}
@@ -284,7 +211,7 @@ func (d *Daemon) ctrlLearnStep() error {
 	if target == capW {
 		return nil
 	}
-	return d.sim.AddCapChange(d.simTime, target)
+	return d.setCapLocked(target)
 }
 
 // rateHzLocked sums the hosted applications' heartbeat rates from the
@@ -302,31 +229,24 @@ func (d *Daemon) rateHzLocked() float64 {
 	return sum
 }
 
-// ctrlAssign applies a budget grant from the coordinator. The sequence
+// ctrlAssign applies a budget grant from the coordinator. The fence
 // check, the cap application, and the ledger update are one atomic
 // section under d.mu then c.mu (the lock order Advance establishes,
 // holding d.mu when it checks the lease): a failed cap application must
 // not consume the sequence number — the coordinator's retry of the same
 // seq would be dropped as stale while the wrong cap persists — and two
-// in-flight assigns must serialize seq-check-plus-application as a
+// in-flight assigns must serialize fence-check-plus-application as a
 // unit, or the older (possibly higher) cap could land after the newer
-// one while lastSeq says otherwise, a sustained breach that lease
-// renewals would then keep alive. Mirrors ctrlplane.Agent.Assign.
+// one while the ledger says otherwise, a sustained breach that lease
+// renewals would then keep alive.
 func (d *Daemon) ctrlAssign(req ctrlplane.AssignRequest) (ctrlplane.AssignResponse, error) {
 	c := d.ctrl
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	c.mu.Lock()
-	if req.Epoch < c.lastEpoch {
-		c.epochDrops++
-		c.mu.Unlock()
-		d.mu.Unlock()
-		return d.ctrlAck(false), nil
-	}
-	if req.Epoch == c.lastEpoch && req.Seq <= c.lastSeq {
-		c.staleDrops++
-		c.mu.Unlock()
-		d.mu.Unlock()
-		return d.ctrlAck(false), nil
+	defer c.mu.Unlock()
+	if !c.lease.Admit(req.Epoch, req.Seq) {
+		return d.ctrlAckLocked(false), nil
 	}
 	capW := req.CapW
 	if c.est != nil {
@@ -337,36 +257,26 @@ func (d *Daemon) ctrlAssign(req ctrlplane.AssignRequest) (ctrlplane.AssignRespon
 		capW = c.est.ProbeCap(req.CapW)
 		c.lastProbeIv = req.Iv
 	}
-	if err := d.sim.AddCapChange(d.simTime, capW); err != nil {
-		c.mu.Unlock()
-		d.mu.Unlock()
+	if err := d.setCapLocked(capW); err != nil {
 		return ctrlplane.AssignResponse{}, err
 	}
-	c.lastEpoch = req.Epoch
-	c.lastSeq = req.Seq
-	c.leaseS = req.LeaseS
-	c.leaseStart = c.cfg.Clock()
-	c.noteIvLocked(req.Iv, req.IvS)
-	c.grantIv, c.leaseIv, c.ivS = req.Iv, req.LeaseIv, req.IvS
-	c.leased = req.LeaseS > 0 || req.LeaseIv > 0
-	c.fenced = false
-	c.safeMode = false
-	c.mu.Unlock()
-	d.mu.Unlock()
-	return d.ctrlAck(true), nil
+	c.lease.Grant(req.Epoch, req.Seq, c.nowLocked(), ctrlplane.LeaseTerms{
+		LeaseS: req.LeaseS, Iv: req.Iv, LeaseIv: req.LeaseIv, IvS: req.IvS})
+	return d.ctrlAckLocked(true), nil
 }
 
-// ctrlAck snapshots the assign-response view.
-func (d *Daemon) ctrlAck(applied bool) ctrlplane.AssignResponse {
-	st := d.status()
-	c := d.ctrl
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// ctrlAckLocked snapshots the assign-response view under d.mu and c.mu.
+// CapW is the committed cap, in force once the queued cap change lands
+// on the next Advance: the in-force assignment the coordinator checks
+// a duplicate's ack against.
+func (d *Daemon) ctrlAckLocked(applied bool) ctrlplane.AssignResponse {
+	st := d.statusLocked()
+	l := &d.ctrl.lease
 	return ctrlplane.AssignResponse{
-		V: ctrlplane.ProtocolV, Server: c.cfg.ServerID,
-		Epoch: c.lastEpoch, Seq: c.lastSeq, Applied: applied,
-		CapW: st.CapW, GridW: st.GridW, SoC: st.SoC,
-		Fenced: c.fenced, SafeMode: c.safeMode, Iv: c.lastSeenIv,
+		V: ctrlplane.ProtocolV, Server: d.ctrl.cfg.ServerID,
+		Epoch: l.Epoch(), Seq: l.Seq(), Applied: applied,
+		CapW: d.capW, GridW: st.GridW, SoC: st.SoC,
+		Fenced: l.Lapsed(), SafeMode: l.SafeMode(), Iv: l.Iv(),
 	}
 }
 
@@ -378,14 +288,14 @@ func (d *Daemon) ctrlReport() ctrlplane.Report {
 	defer c.mu.Unlock()
 	rep := ctrlplane.Report{
 		V: ctrlplane.ProtocolV, Server: c.cfg.ServerID,
-		Epoch: c.lastEpoch, Seq: c.lastSeq,
+		Epoch: c.lease.Epoch(), Seq: c.lease.Seq(),
 		CapW: st.CapW, GridW: st.GridW, SoC: st.SoC,
-		Fenced:     c.fenced,
-		SafeMode:   c.safeMode,
+		Fenced:     c.lease.Lapsed(),
+		SafeMode:   c.lease.SafeMode(),
 		IdleFloorW: d.hw.PIdleWatts,
 		NameplateW: d.hw.MaxServerWatts(),
 		Version:    d.version,
-		Iv:         c.lastSeenIv,
+		Iv:         c.lease.Iv(),
 	}
 	// A live mix is not pre-characterizable, so without a learner the
 	// report stays curveless and the coordinator apportions evenly.
@@ -403,38 +313,28 @@ func (d *Daemon) ctrlReport() ctrlplane.Report {
 // ctrlRenew extends the draw lease without changing the budget. A
 // fenced daemon stays fenced: only a fresh assign restores its cap.
 // Only the epoch that granted the in-force budget may renew it — a
-// deposed coordinator's renewals are answered but extend nothing.
+// deposed coordinator's renewals are answered but extend nothing. Like
+// the ack, the answer carries the committed cap; ExpiresT is on the
+// daemon's lease clock.
 func (d *Daemon) ctrlRenew(req ctrlplane.LeaseRequest) ctrlplane.LeaseResponse {
 	c := d.ctrl
-	st := d.status()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if req.Epoch < c.lastEpoch {
-		c.epochDrops++
-	} else {
-		c.noteIvLocked(req.Iv, req.IvS)
-		if req.Epoch == c.lastEpoch && !c.fenced {
-			c.leaseS = req.LeaseS
-			c.leaseStart = c.cfg.Clock()
-			c.leased = req.LeaseS > 0 || req.LeaseIv > 0
-			c.grantIv, c.leaseIv, c.ivS = req.Iv, req.LeaseIv, req.IvS
-		}
-	}
-	var expires float64
-	if c.leased {
-		expires = req.T + c.leaseS
-	}
+	l := &c.lease
+	l.Renew(req.Epoch, c.nowLocked(), ctrlplane.LeaseTerms{
+		LeaseS: req.LeaseS, Iv: req.Iv, LeaseIv: req.LeaseIv, IvS: req.IvS})
 	return ctrlplane.LeaseResponse{
-		V: ctrlplane.ProtocolV, Epoch: c.lastEpoch, Server: c.cfg.ServerID,
-		CapW: st.CapW, ExpiresT: expires, Fenced: c.fenced, Iv: c.lastSeenIv,
+		V: ctrlplane.ProtocolV, Epoch: l.Epoch(), Server: c.cfg.ServerID,
+		CapW: d.capW, ExpiresT: l.ExpiresT(), Fenced: l.Lapsed(), Iv: l.Iv(),
 	}
 }
 
-// ctrlEndpoint adapts the daemon to ctrlplane.CtrlEndpoint so it can
-// sit behind a BinaryServer listener — same checks as the HTTP routes:
-// grants addressed to another server are refused, and the scrape
-// ignores the coordinator's trace clock (a daemon lives on the wall
-// clock).
+// ctrlEndpoint adapts the daemon to ctrlplane.CtrlEndpoint, the surface
+// both the HTTP /ctrl routes and a BinaryServer listener serve: grants
+// addressed to another server are refused, and the scrape ignores the
+// coordinator's trace clock (a daemon lives on its own clock).
 type ctrlEndpoint struct{ d *Daemon }
 
 func (e ctrlEndpoint) Assign(req ctrlplane.AssignRequest) (ctrlplane.AssignResponse, error) {
@@ -455,8 +355,8 @@ func (e ctrlEndpoint) Scrape(t float64, hasT bool) (ctrlplane.Report, error) {
 	return e.d.ctrlReport(), nil
 }
 
-// CtrlEndpoint returns the daemon's binary-transport surface, or an
-// error if EnableCtrl has not run. psd hosts it on a BinaryServer when
+// CtrlEndpoint returns the daemon's control-plane surface, or an error
+// if EnableCtrl has not run. psd hosts it on a BinaryServer when
 // started with -transport binary.
 func (d *Daemon) CtrlEndpoint() (ctrlplane.CtrlEndpoint, error) {
 	if d.ctrl == nil {
@@ -465,79 +365,14 @@ func (d *Daemon) CtrlEndpoint() (ctrlplane.CtrlEndpoint, error) {
 	return ctrlEndpoint{d: d}, nil
 }
 
-// ctrlRoutes mounts the control-plane endpoints on the daemon's mux.
+// ctrlRoutes mounts the shared control-plane handler on the daemon's
+// mux.
 func (d *Daemon) ctrlRoutes(mux *http.ServeMux) {
-	c := d.ctrl
-	if c == nil {
+	if d.ctrl == nil {
 		return
 	}
-	mux.HandleFunc(ctrlplane.PathAssign, func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
-		body, err := readCtrlBody(r)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		req, err := ctrlplane.DecodeAssign(body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if req.Server != c.cfg.ServerID {
-			http.Error(w, fmt.Sprintf("assign for server %d reached daemon %d", req.Server, c.cfg.ServerID), http.StatusBadRequest)
-			return
-		}
-		resp, err := d.ctrlAssign(req)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		writeJSON(w, resp)
-	})
-	mux.HandleFunc(ctrlplane.PathReport, func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "GET only", http.StatusMethodNotAllowed)
-			return
-		}
-		// The coordinator's trace clock means nothing to a wall-clock
-		// daemon; accept and ignore a ?t= so one coordinator can drive
-		// mixed fleets.
-		if ts := r.URL.Query().Get("t"); ts != "" {
-			if _, err := strconv.ParseFloat(ts, 64); err != nil {
-				http.Error(w, fmt.Sprintf("bad t %q", ts), http.StatusBadRequest)
-				return
-			}
-		}
-		writeJSON(w, d.ctrlReport())
-	})
-	mux.HandleFunc(ctrlplane.PathLease, func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
-		body, err := readCtrlBody(r)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		req, err := ctrlplane.DecodeLease(body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if req.Server != c.cfg.ServerID {
-			http.Error(w, fmt.Sprintf("lease for server %d reached daemon %d", req.Server, c.cfg.ServerID), http.StatusBadRequest)
-			return
-		}
-		writeJSON(w, d.ctrlRenew(req))
-	})
-}
-
-// readCtrlBody bounds a control-plane request body the same way the
-// replay agent does.
-func readCtrlBody(r *http.Request) ([]byte, error) {
-	return ctrlplane.ReadBody(r.Body)
+	h := ctrlplane.NewHandler(d.ctrl.cfg.ServerID, ctrlEndpoint{d: d})
+	for _, p := range []string{ctrlplane.PathAssign, ctrlplane.PathReport, ctrlplane.PathLease} {
+		mux.Handle(p, h)
+	}
 }

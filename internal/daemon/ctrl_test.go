@@ -332,3 +332,63 @@ func TestDaemonCtrlSafeModeDecay(t *testing.T) {
 		t.Fatalf("lease freshness after re-assign: %+v", h)
 	}
 }
+
+// Acks and renewals carry the committed cap — the in-force assignment
+// — even before the next Advance lands it on the executor. Otherwise
+// the coordinator books a retried duplicate of its own grant as a
+// refusal and turns a renewal into a re-assign.
+func TestDaemonCtrlAckCarriesCommittedCap(t *testing.T) {
+	d, srv := ctrlDaemon(t)
+	if err := d.Advance(0.5); err != nil {
+		t.Fatal(err)
+	}
+	boot := d.status().CapW
+	req := ctrlplane.AssignRequest{V: ctrlplane.ProtocolV, Epoch: 1, Seq: 1, Server: 0, T: 0, CapW: 70, LeaseS: 100}
+	var ack ctrlplane.AssignResponse
+	if code := postCtrl(t, srv.URL+ctrlplane.PathAssign, req, &ack); code != http.StatusOK || !ack.Applied {
+		t.Fatalf("assign: %d %+v", code, ack)
+	}
+	if ack.CapW != 70 {
+		t.Fatalf("assign ack cap %g W, want the granted 70 (boot cap %g)", ack.CapW, boot)
+	}
+	// The coordinator's retry of the same grant, before any Advance.
+	if code := postCtrl(t, srv.URL+ctrlplane.PathAssign, req, &ack); code != http.StatusOK || ack.Applied {
+		t.Fatalf("duplicate: %d %+v", code, ack)
+	}
+	if ack.Epoch != 1 || ack.CapW != 70 {
+		t.Fatalf("duplicate ack epoch %d cap %g W, want epoch 1 at the in-force 70 W", ack.Epoch, ack.CapW)
+	}
+	lease := ctrlplane.LeaseRequest{V: ctrlplane.ProtocolV, Epoch: 1, Server: 0, T: 1, LeaseS: 100}
+	var lr ctrlplane.LeaseResponse
+	if code := postCtrl(t, srv.URL+ctrlplane.PathLease, lease, &lr); code != http.StatusOK {
+		t.Fatalf("renew: %d", code)
+	}
+	if lr.Fenced || lr.Epoch != 1 || lr.CapW != 70 {
+		t.Fatalf("renewal %+v, want unfenced epoch 1 at 70 W", lr)
+	}
+}
+
+// The scrape route validates the coordinator clock like the agent's:
+// a non-finite or negative ?t= is a 400, a well-formed one is accepted
+// and ignored.
+func TestDaemonCtrlReportRejectsBadClock(t *testing.T) {
+	_, srv := ctrlDaemon(t)
+	for _, ts := range []string{"NaN", "-1", "Inf", "-Inf", "abc"} {
+		resp, err := http.Get(srv.URL + ctrlplane.PathReport + "?t=" + ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("?t=%s: %d, want 400", ts, resp.StatusCode)
+		}
+	}
+	resp, err := http.Get(srv.URL + ctrlplane.PathReport + "?t=42")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("?t=42: %d, want 200", resp.StatusCode)
+	}
+}

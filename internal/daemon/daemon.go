@@ -61,6 +61,9 @@ type Daemon struct {
 	hw  simhw.Config
 	// simTime tracks how much simulated time has been consumed.
 	simTime float64
+	// capW is the committed cap: the one in force once every queued cap
+	// change lands on the next simulation tick.
+	capW float64
 	// lastAdvance is the wall-clock time the simulation last moved — a
 	// stalled ticker shows up on /healthz.
 	lastAdvance time.Time
@@ -114,7 +117,7 @@ func New(cfg Config) (*Daemon, error) {
 		version = buildinfo.Version()
 	}
 	return &Daemon{sim: sim, lib: lib, hw: cfg.HW, hub: cfg.Telemetry,
-		lastAdvance: time.Now(), version: version}, nil
+		capW: cfg.InitialCapW, lastAdvance: time.Now(), version: version}, nil
 }
 
 // Advance runs the mediated server forward by dt simulated seconds. The
@@ -180,6 +183,10 @@ type StatusApp struct {
 func (d *Daemon) status() Status {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	return d.statusLocked()
+}
+
+func (d *Daemon) statusLocked() Status {
 	st := Status{SimSeconds: d.simTime}
 	samples := d.sim.Samples()
 	if len(samples) == 0 {
@@ -299,40 +306,20 @@ func (d *Daemon) health() Health {
 	h.Version = d.version
 	if c := d.ctrl; c != nil {
 		c.mu.Lock()
+		l := &c.lease
 		h.CtrlEnabled = true
-		h.CtrlFenced = c.fenced
-		h.CtrlFences = c.fences
-		h.CtrlStaleDrops = c.staleDrops
-		h.CtrlEpoch = c.lastEpoch
-		h.CtrlEpochDrops = c.epochDrops
-		h.CtrlLeased = c.leased
-		switch {
-		case c.leased && c.clockModeLocked():
-			// Interval lease: remaining wall time at the coordinator's
-			// nominal cadence.
-			boundary := c.grantIv + c.leaseIv
-			var remaining float64
-			if boundary > c.lastSeenIv {
-				remaining = float64(boundary-c.lastSeenIv)*c.ivS - c.cfg.Clock().Sub(c.lastSeenAt).Seconds()
-			}
-			if remaining <= 0 {
-				remaining = 0
-				h.CtrlLeaseExpired = true
-			}
-			h.CtrlLeaseExpiresInS = remaining
-		case c.leased && c.leaseS > 0:
-			expiry := c.leaseStart.Add(time.Duration(c.leaseS * float64(time.Second)))
-			if rem := c.cfg.Clock().Sub(expiry).Seconds(); rem >= 0 {
-				h.CtrlLeaseExpired = true
-			} else {
-				h.CtrlLeaseExpiresInS = -rem
-			}
-		}
-		h.CtrlIv = c.lastSeenIv
-		h.CtrlClockSkewIv = c.skewIv
-		h.CtrlSafeMode = c.safeMode
-		h.CtrlSafeModeEntries = c.safeEntries
-		if c.safeMode {
+		h.CtrlFenced = l.Lapsed()
+		h.CtrlFences = l.Lapses()
+		h.CtrlStaleDrops = l.StaleDrops()
+		h.CtrlEpoch = l.Epoch()
+		h.CtrlEpochDrops = l.EpochDrops()
+		h.CtrlLeased = l.Leased()
+		h.CtrlLeaseExpiresInS, h.CtrlLeaseExpired = l.ExpiresIn(c.nowLocked())
+		h.CtrlIv = l.Iv()
+		h.CtrlClockSkewIv = l.SkewIv()
+		h.CtrlSafeMode = l.SafeMode()
+		h.CtrlSafeModeEntries = l.SafeEntries()
+		if l.SafeMode() {
 			h.CtrlSafeModeCapW = c.safeCapW
 		}
 		if c.est != nil {
@@ -544,7 +531,17 @@ func (d *Daemon) Admit(req AdmitRequest) error {
 func (d *Daemon) SetCap(watts float64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.sim.AddCapChange(d.simTime, watts)
+	return d.setCapLocked(watts)
+}
+
+// setCapLocked queues a cap change at the current simulation time and
+// commits it. Called under d.mu.
+func (d *Daemon) setCapLocked(watts float64) error {
+	if err := d.sim.AddCapChange(d.simTime, watts); err != nil {
+		return err
+	}
+	d.capW = watts
+	return nil
 }
 
 func writeJSON(w http.ResponseWriter, v interface{}) {
